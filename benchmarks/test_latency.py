@@ -4,7 +4,7 @@ The Figure 3 bound allots ``T_i`` rounds per depth; an interested
 process at the leaves should therefore deliver within roughly
 ``T_tot = sum T_i`` rounds of the publish (times the period P for wall
 clock).  This bench measures the first-delivery round of every
-interested process from a :class:`~repro.sim.trace.TraceLog` and
+interested process from a :class:`~repro.obs.trace.TraceLog` and
 compares the distribution against the analytical budget.
 """
 

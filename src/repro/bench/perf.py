@@ -29,10 +29,9 @@ claimed only alongside proof that the results did not change.
 The CLI writes a JSON report (default ``BENCH_PR1.json`` in the current
 directory).  ``--baseline FILE`` merges a previously captured run —
 e.g. one taken at the pre-optimization commit with this same harness —
-and computes per-benchmark speedups.  ``--mode both`` additionally runs
-the ablation/legacy code paths (full O(n) scans, identity-keyed match
-cache) when the installed code supports the switches, and verifies the
-two modes produce identical digests.
+and computes per-benchmark speedups.  The report keeps its results
+under ``results["current"]``, the key ``python -m repro.obs regress``
+compares.
 
 Introspection counters (``active_count``, the match-cache hit rates)
 are read from a :class:`~repro.obs.registry.MetricsRegistry` attached
@@ -123,41 +122,25 @@ def _current_rss_kb() -> Optional[int]:
     return None
 
 
-def _runtime_kwargs(mode: str) -> Dict[str, Any]:
-    """Ablation switches for GroupRuntime, if the code base has them."""
-    if mode == "legacy":
-        return {"active_scheduling": False}
-    return {}
-
-
-def _try_build_runtime(
-    members, config, sim_config, mode: str, registry, fault_plan=None,
-    timeline=None,
+def _build_runtime(
+    members, config, sim_config, registry, fault_plan=None, timeline=None,
 ):
-    """Build an observed GroupRuntime, tolerating ablation signatures."""
+    """Build a GroupRuntime observed through ``registry``/``timeline``."""
     from repro.sim.runtime import GroupRuntime
 
-    kwargs = _runtime_kwargs(mode)
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    try:
-        return GroupRuntime(
-            members,
-            config=config,
-            sim_config=sim_config,
-            observer=Observer(registry=registry, timeline=timeline),
-            **kwargs,
-        )
-    except TypeError:
-        if not kwargs:
-            raise
-        return None  # legacy switch not supported by this code base
+    return GroupRuntime(
+        members,
+        config=config,
+        sim_config=sim_config,
+        observer=Observer(registry=registry, timeline=timeline),
+        fault_plan=fault_plan,
+    )
 
 
 def bench_round_loop(
-    arity: int, depth: int, seed: int, mode: str, max_rounds: int = 96,
+    arity: int, depth: int, seed: int, max_rounds: int = 96,
     timeline: Optional[TimelineRecorder] = None,
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """One live-runtime dissemination at scale: the §2.3 round loop."""
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
@@ -167,12 +150,10 @@ def bench_round_loop(
     config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
     registry = MetricsRegistry()
     started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry,
+    runtime = _build_runtime(
+        members, config, SimConfig(seed=seed), registry,
         timeline=timeline,
     )
-    if runtime is None:
-        return None
     build_seconds = time.perf_counter() - started
 
     event = Event({"perf": 1}, event_id=1)
@@ -199,8 +180,8 @@ def bench_round_loop(
 
 
 def bench_faulted_round_loop(
-    arity: int, depth: int, seed: int, mode: str, max_rounds: int = 96
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, max_rounds: int = 96
+) -> Dict[str, Any]:
     """The ``round_loop`` workload under a standard fault episode.
 
     Measures the per-envelope cost of the :mod:`repro.faults` plane:
@@ -228,12 +209,10 @@ def bench_faulted_round_loop(
     )
     registry = MetricsRegistry()
     started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry,
+    runtime = _build_runtime(
+        members, config, SimConfig(seed=seed), registry,
         fault_plan=plan,
     )
-    if runtime is None:
-        return None
     build_seconds = time.perf_counter() - started
 
     event = Event({"perf": 1}, event_id=1)
@@ -262,15 +241,12 @@ def bench_faulted_round_loop(
 
 
 def bench_engine(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int
+) -> Dict[str, Any]:
     """One static-group dissemination (the Figure 4/5 inner loop)."""
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
 
-    if mode == "legacy":
-        # run_dissemination owns its context; no ablation switch here.
-        return None
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
     members = bernoulli_interests(
@@ -300,8 +276,8 @@ def bench_engine(
 
 
 def bench_churn_refresh(
-    arity: int, depth: int, seed: int, mode: str, churn_events: int = 8
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, churn_events: int = 8
+) -> Dict[str, Any]:
     """Join/leave bursts: the view-maintenance (_refresh_path) cost."""
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
@@ -317,11 +293,9 @@ def bench_churn_refresh(
         if address not in held_back
     }
     config = PmcastConfig(fanout=3, redundancy=3)
-    runtime = _try_build_runtime(
-        initial, config, SimConfig(seed=seed), mode, MetricsRegistry()
+    runtime = _build_runtime(
+        initial, config, SimConfig(seed=seed), MetricsRegistry()
     )
-    if runtime is None:
-        return None
     started = time.perf_counter()
     for address in joiners:
         runtime.join(address, members[address])
@@ -353,8 +327,8 @@ def bench_churn_refresh(
 
 
 def bench_match_cache(
-    arity: int, depth: int, seed: int, mode: str, events: int = 4
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, events: int = 4
+) -> Dict[str, Any]:
     """Content-based workload with churn mid-dissemination.
 
     This is the scenario the cache layering exists for: joins/leaves
@@ -375,11 +349,9 @@ def bench_match_cache(
     }
     config = PmcastConfig(fanout=3, redundancy=3)
     registry = MetricsRegistry()
-    runtime = _try_build_runtime(
-        initial, config, SimConfig(seed=seed), mode, registry
+    runtime = _build_runtime(
+        initial, config, SimConfig(seed=seed), registry
     )
-    if runtime is None:
-        return None
     started = time.perf_counter()
     digests: List[str] = []
     idle_rounds: List[int] = []
@@ -412,8 +384,8 @@ def bench_match_cache(
 
 
 def bench_membership_plane(
-    arity: int, depth: int, seed: int, mode: str, rounds: int = 32
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, rounds: int = 32
+) -> Dict[str, Any]:
     """Pure §2.3 background cost: membership + detection, zero events.
 
     No event is ever published, so every measured cycle is gossip-pull
@@ -437,11 +409,9 @@ def bench_membership_plane(
     config = PmcastConfig(fanout=3, redundancy=3, min_rounds_per_depth=2)
     registry = MetricsRegistry()
     started = time.perf_counter()
-    runtime = _try_build_runtime(
-        members, config, SimConfig(seed=seed), mode, registry
+    runtime = _build_runtime(
+        members, config, SimConfig(seed=seed), registry
     )
-    if runtime is None:
-        return None
     build_seconds = time.perf_counter() - started
 
     warmup = max(2, rounds // 8)
@@ -502,8 +472,8 @@ def bench_membership_plane(
 
 
 def bench_sweep(
-    arity: int, depth: int, seed: int, mode: str, jobs: Any = "auto"
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int, jobs: Any = "auto"
+) -> Dict[str, Any]:
     """Serial vs parallel reliability sweep: the ``--jobs`` dispatch path.
 
     Runs the same :func:`~repro.bench.figures.reliability_sweep` twice —
@@ -518,8 +488,6 @@ def bench_sweep(
     from repro.bench.figures import reliability_sweep
     from repro.par import TrialExecutor, resolve_jobs
 
-    if mode == "legacy":
-        return None
     jobs = resolve_jobs(jobs)
     members = arity ** depth
     # Inverse-scale trials toward a few seconds of serial work, capped:
@@ -563,10 +531,10 @@ def bench_sweep(
 
 
 def bench_scale_loop(
-    arity: int, depth: int, seed: int, mode: str,
+    arity: int, depth: int, seed: int,
     timeline: Optional[TimelineRecorder] = None,
     scale_trace: Optional[str] = None,
-) -> Optional[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """Million-member scaling of the vectorized round loop.
 
     Two measurements back the two claims of the struct-of-arrays path:
@@ -596,8 +564,6 @@ def bench_scale_loop(
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
 
-    if mode == "legacy":
-        return None
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
     members = bernoulli_interests(
@@ -773,8 +739,8 @@ VARIANT_GRID = ((0.0, 0.0), (0.05, 0.0), (0.1, 0.05))
 
 
 def bench_variant_compare(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int
+) -> Dict[str, Any]:
     """pmcast vs the dissemination-variant ablations across (ε, τ).
 
     One dissemination per algorithm per grid point — pmcast (the tree
@@ -795,8 +761,6 @@ def bench_variant_compare(
     from repro.variants.bounded_view import bounded_view_broadcast
     from repro.variants.lazy_pull import lazy_pull_broadcast
 
-    if mode == "legacy":
-        return None
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
     members = bernoulli_interests(
@@ -878,8 +842,8 @@ def bench_variant_compare(
 
 
 def bench_net_throughput(
-    arity: int, depth: int, seed: int, mode: str
-) -> Optional[Dict[str, Any]]:
+    arity: int, depth: int, seed: int
+) -> Dict[str, Any]:
     """Sustained event rate of the live-UDP plane (``repro.net.udp``).
 
     Disseminates one event through at least 1000 real UDP processes on
@@ -896,10 +860,6 @@ def bench_net_throughput(
     from repro.net.udp import run_udp_dissemination
     from repro.sim.group import PmcastGroup
 
-    if mode == "legacy":
-        # One execution style only: there is no ablation switch for
-        # the deployment plane.
-        return None
     if arity ** depth < 1000:
         arity, depth = 10, 3
     rate, fanout, redundancy, period_s = 0.25, 3, 3, 0.02
@@ -973,7 +933,6 @@ def run_suite(
     arity: int,
     depth: int,
     seed: int = 0,
-    modes: Sequence[str] = ("current",),
     benches: Optional[Sequence[str]] = None,
     jobs: Any = "auto",
     timeline_path: Optional[str] = None,
@@ -1007,30 +966,24 @@ def run_suite(
         if timeline_path is not None
         else None
     )
-    results: Dict[str, Any] = {}
-    for mode in modes:
-        mode_results: Dict[str, Any] = {}
-        for name in selected:
-            if name == "sweep":
-                outcome = bench_sweep(arity, depth, seed, mode, jobs=jobs)
-            elif name == "round_loop":
-                outcome = bench_round_loop(
-                    arity, depth, seed, mode, timeline=timeline
-                )
-            elif name == "scale_loop":
-                outcome = bench_scale_loop(
-                    arity,
-                    depth,
-                    seed,
-                    mode,
-                    timeline=timeline,
-                    scale_trace=scale_trace if mode == "current" else None,
-                )
-            else:
-                outcome = _BENCHES[name](arity, depth, seed, mode)
-            if outcome is not None:
-                mode_results[name] = outcome
-        results[mode] = mode_results
+    current: Dict[str, Any] = {}
+    for name in selected:
+        if name == "sweep":
+            current[name] = bench_sweep(arity, depth, seed, jobs=jobs)
+        elif name == "round_loop":
+            current[name] = bench_round_loop(
+                arity, depth, seed, timeline=timeline
+            )
+        elif name == "scale_loop":
+            current[name] = bench_scale_loop(
+                arity,
+                depth,
+                seed,
+                timeline=timeline,
+                scale_trace=scale_trace,
+            )
+        else:
+            current[name] = _BENCHES[name](arity, depth, seed)
     timeline_entries: Optional[int] = None
     if timeline is not None:
         timeline.probe_memory(subsystem="bench")
@@ -1043,7 +996,6 @@ def run_suite(
             "depth": depth,
             "members": arity ** depth,
             "seed": seed,
-            "modes": list(modes),
         },
         "environment": _environment(
             artifacts={
@@ -1052,12 +1004,8 @@ def run_suite(
                 "scale_trace": scale_trace,
             }
         ),
-        "results": results,
+        "results": {"current": current},
     }
-    if "current" in results and "legacy" in results:
-        report["identity_check"] = _identity_check(
-            results["current"], results["legacy"]
-        )
     return report
 
 
@@ -1105,19 +1053,6 @@ def _environment(
         if recorded:
             env["artifacts"] = recorded
     return env
-
-
-def _identity_check(
-    current: Dict[str, Any], legacy: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Digests must agree between optimized and legacy code paths."""
-    out: Dict[str, Any] = {}
-    for name in current:
-        left = current[name].get("digest")
-        right = legacy.get(name, {}).get("digest")
-        if left is not None and right is not None:
-            out[name] = {"identical": left == right}
-    return out
 
 
 def emit_trace(path: str, arity: int, depth: int, seed: int = 0) -> int:
@@ -1204,12 +1139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mode",
-        choices=("current", "legacy", "both"),
-        default="current",
-        help="run the optimized paths, the ablation/legacy paths, or both",
-    )
-    parser.add_argument(
         "--bench",
         action="append",
         choices=sorted(_BENCHES),
@@ -1291,7 +1220,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.arity is not None:
         scale["arity"] = args.arity
-    modes = ("current", "legacy") if args.mode == "both" else (args.mode,)
     baseline = None
     if args.baseline:
         # Read before the (possibly long) benchmark run: a bad path
@@ -1322,7 +1250,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scale["arity"],
             scale["depth"],
             seed=args.seed,
-            modes=modes,
             benches=benches,
             jobs=args.jobs,
             timeline_path=args.timeline,
@@ -1342,7 +1269,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scale["arity"],
             scale["depth"],
             seed=args.seed,
-            modes=modes,
             benches=benches,
             jobs=args.jobs,
             timeline_path=args.timeline,

@@ -8,7 +8,6 @@ gossip-pull anti-entropy (:mod:`gossip_pull`), join/leave protocols
 (:mod:`failure_detector`).
 """
 
-from repro.membership.compact import CompactViewTable
 from repro.membership.failure_detector import FailureDetector, SuspicionQuorum
 from repro.membership.gossip_pull import (
     MembershipState,
@@ -32,7 +31,6 @@ __all__ = [
     "MembershipTree",
     "ViewRow",
     "ViewTable",
-    "CompactViewTable",
     "build_view",
     "refreshed_rows",
     "build_process_views",

@@ -7,8 +7,12 @@ engine is the special case where every timer fires exactly on the
 period boundary — and this module's test harness value rests on making
 that special case **bit-identical** to the engine:
 
-* same RNG streams, derived with the engine's own labels
-  (``gossip``/``network``/``crash``/``faults``);
+* same RNG streams, built by the engine's own setup
+  (:func:`repro.variants.base.setup_run`, labels
+  ``gossip``/``network``/``crash``/``faults``);
+* the same driver: :func:`repro.variants.base.run_variant` given a
+  :class:`~repro.net.scheduler.Schedule` runs its event loop, sharing
+  the round loop's trace preamble, crash step and finale;
 * timers pop in the engine's active-set insertion order (the clock's
   FIFO tie-break over re-armed and newly armed timers reproduces
   insertion-ordered dict semantics — docs/NETWORK.md walks the proof);
@@ -33,25 +37,22 @@ records keyed by ``time_us``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
-from repro.addressing import Address, distance
+from repro.addressing import Address
 from repro.config import SimConfig
 from repro.core.context import GossipContext
-from repro.errors import NetError, SimulationError
-from repro.faults.injector import FaultInjector
+from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
-from repro.net.clock import PRIORITY_BOUNDARY, PRIORITY_TIMER, VirtualClock
 from repro.net.scheduler import RoundSchedule, Schedule
-from repro.net.transport import SimTransport
-from repro.obs.sampling import SampledTrace, TraceSampler
+from repro.obs.sampling import TraceSampler
+from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
-from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceLog
+from repro.variants.base import run_variant, setup_run
 from repro.variants.pmcast import PmcastVariant
 
 __all__ = ["run_sim_dissemination"]
@@ -89,190 +90,44 @@ def run_sim_dissemination(
             (ordered by ``time_us``) into ``trace``.  Off by default
             because extra records would break byte-identity with the
             engine's golden traces.
-        (remaining arguments exactly as in ``run_dissemination``.)
+
+    ``sim_config``, ``crash_schedule``, ``network``, ``trace``,
+    ``faults`` and ``sampler`` are as in ``run_dissemination``; there
+    is no ``observer`` or ``timeline`` here.
 
     Returns:
         the run's :class:`~repro.sim.metrics.DisseminationReport`.
+
+    Raises:
+        NetError: ``latency_us`` outside ``(0, period)``.
     """
     sim_config = sim_config or SimConfig()
     if schedule is None:
         schedule = RoundSchedule(period_us=group.config.period_ms * 1000)
-    period_us = schedule.period_us
-    if latency_us is None:
-        latency_us = period_us // 2
-    if not 0 < latency_us < period_us:
-        raise NetError(
-            f"latency_us {latency_us} must lie in (0, {period_us}): the "
-            "model requires network latency below the gossip period"
-        )
-
-    gossip_rng = derive_rng(sim_config.seed, "gossip", event.event_id)
-    if network is None:
-        network = LossyNetwork(
-            sim_config.loss_probability,
-            derive_rng(sim_config.seed, "network", event.event_id),
-        )
-    if crash_schedule is None:
-        crash_schedule = CrashSchedule.sample(
-            group.addresses(),
-            sim_config.crash_fraction,
-            horizon=sim_config.max_rounds,
-            rng=derive_rng(sim_config.seed, "crash", event.event_id),
-        )
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        injector = FaultInjector(
-            faults,
-            group.tree,
-            derive_rng(sim_config.seed, "faults", event.event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
-        )
-
+    gossip_rng, network, crash_schedule, injector = setup_run(
+        sim_config,
+        event.event_id,
+        "",
+        sim_config.max_rounds,
+        group.addresses,
+        lambda: group.tree,
+        trace=trace,
+        network=network,
+        crash_schedule=crash_schedule,
+        faults=faults,
+    )
     ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
     if not group.node(publisher).alive:
         raise SimulationError(f"publisher {publisher} has crashed")
-    variant = PmcastVariant(group, publisher, event, ctx, sim_config)
-
-    emit = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
-        )
-        trace.annotate(**variant.trace_meta())
-        if injector is not None:
-            trace.annotate(fault_plan=injector.plan.to_dict())
-        if event_records:
-            trace.annotate(
-                net={
-                    "schedule": repr(schedule),
-                    "period_us": period_us,
-                    "latency_us": latency_us,
-                }
-            )
-    emit_events = event_records and emit is not None
-
-    variant.begin(emit)
-
-    clock = VirtualClock()
-    transport = SimTransport(clock, network, latency_us, injector=injector)
-    #: Processes with an armed timer on the clock (lazy cancellation:
-    #: a popped timer for an inactive process is skipped).
-    scheduled: Set[Address] = set()
-    keys: Dict[Address, str] = {}
-
-    def arm_timer(address: Address) -> None:
-        key = keys.get(address)
-        if key is None:
-            key = keys[address] = str(address)
-        __, fire_us = schedule.next_fire(key, clock.now_us)
-        clock.schedule(fire_us, PRIORITY_TIMER, ("timer", address))
-        scheduled.add(address)
-
-    # Round boundaries pace the crash plan, the infection curve and
-    # termination even when no timer lands in a round.  Boundary r
-    # (at time (r+1)·P, before that instant's timers) corresponds to
-    # the top of engine iteration round_index = r.
-    clock.schedule(period_us, PRIORITY_BOUNDARY, ("boundary", 0))
-    arm_timer(publisher)
-
-    infection_curve: List[int] = []
-    messages_by_distance = [0] * variant.depth
-    rounds = 0
-
-    while clock:
-        when_us, __, __, payload = clock.pop()
-        kind = payload[0]
-
-        if kind == "boundary":
-            round_index = payload[1]
-            if round_index > 0:
-                # The sample for the round that just completed —
-                # the engine appends it after that round's exchange.
-                infection_curve.append(variant.infected_count())
-            if round_index >= sim_config.max_rounds:
-                break
-            victims = crash_schedule.crashes_at(round_index)
-            if injector is not None:
-                injector.begin_round(round_index)
-                scheduled_victims = set(victims)
-                victims = victims + [
-                    victim
-                    for victim in injector.crashes_at(round_index)
-                    if victim not in scheduled_victims
-                ]
-            for victim in victims:
-                if variant.crash(victim) and emit is not None:
-                    emit(round_index + 1, "crash", victim)
-            if (
-                not variant.is_active()
-                and not transport.in_flight
-                and (injector is None or not injector.has_pending)
-            ):
-                break
-            rounds = round_index + 1
-            if injector is not None:
-                # The engine invokes the injector's transmit every
-                # round even with an empty fan-out (releasing delayed
-                # envelopes); an empty flush batch reproduces that.
-                transport.ensure_flush(when_us + latency_us)
-            clock.schedule(
-                when_us + period_us, PRIORITY_BOUNDARY,
-                ("boundary", round_index + 1),
-            )
-
-        elif kind == "timer":
-            address = payload[1]
-            scheduled.discard(address)
-            if not variant.is_process_active(address):
-                continue  # crashed or idled since arming: no RNG touched
-            if emit_events:
-                emit(
-                    None, "timer_fire", address,
-                    event_id=event.event_id, time_us=when_us,
-                )
-            for envelope in variant.fan_out_one(address, rounds):
-                hops = distance(
-                    envelope.message.sender, envelope.destination
-                )
-                messages_by_distance[max(hops, 1) - 1] += 1
-                transport.send(envelope)
-            if variant.is_process_active(address):
-                arm_timer(address)
-
-        else:  # flush
-            batch = transport.take(payload[1])
-            delivered = transport.transmit(batch, rounds - 1)
-            if emit is not None:
-                arrived = frozenset(id(envelope) for envelope in delivered)
-                diverted = (
-                    injector.last_diverted
-                    if injector is not None
-                    else frozenset()
-                )
-                variant.emit_dispositions(
-                    batch, arrived, diverted, emit, rounds
-                )
-            for envelope in delivered:
-                variant.receive(envelope, emit, rounds)
-                receiver = envelope.destination
-                if (
-                    variant.is_process_active(receiver)
-                    and receiver not in scheduled
-                ):
-                    arm_timer(receiver)
-
-    if trace is not None:
-        trace.annotate(rounds=rounds)
-        if injector is not None:
-            trace.annotate(fault_stats=injector.stats())
-    return variant.finalize(
-        rounds,
-        tuple(infection_curve),
-        tuple(messages_by_distance),
+    return run_variant(
+        PmcastVariant(group, publisher, event, ctx, sim_config),
+        sim_config,
         network,
         crash_schedule,
-        injector,
+        trace=trace,
+        sampler=sampler,
+        injector=injector,
+        schedule=schedule,
+        latency_us=latency_us,
+        event_records=event_records,
     )

@@ -29,6 +29,7 @@ i.e. in round ``k`` of the engine's calendar (round ``r`` spans
 from __future__ import annotations
 
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from typing import Tuple
 
@@ -175,8 +176,8 @@ class JitteredSchedule(Schedule):
         period_us: int = DEFAULT_PERIOD_US,
     ):
         super().__init__(period_us)
-        if jitter < 0:
-            raise NetError(f"jitter {jitter} must be >= 0")
+        if not (math.isfinite(jitter) and jitter >= 0):
+            raise NetError(f"jitter {jitter} must be finite and >= 0")
         self.jitter = float(jitter)
         self.seed = int(seed)
         self._max_offset = int(self.jitter * self.period_us)

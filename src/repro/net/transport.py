@@ -79,7 +79,8 @@ class SimTransport(Transport):
         network: the seeded loss model — the *only* source of drops.
         latency_us: wire latency; the model requires it strictly below
             the gossip period (everything sent in a round arrives in
-            that round), which the runtime validates.
+            that round), which :func:`repro.variants.base.run_variant`
+            validates.
         injector: optional fault injector applied to every flush batch,
             exactly where the round engine applies it.
     """

@@ -34,10 +34,10 @@ from repro.interests.events import Event
 from repro.membership.failure_detector import FailureDetector
 from repro.net.process import AsyncProcess
 from repro.net.transport import FairLossUdpTransport, UdpEndpointRegistry
+from repro.obs.trace import TraceLog
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceLog
 from repro.variants.pmcast import assemble_pmcast_report
 
 __all__ = ["UdpRunStats", "run_udp_dissemination"]

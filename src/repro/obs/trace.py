@@ -35,8 +35,8 @@ tagged :data:`TRACE_SCHEMA` so offline tooling can reject traces it
 does not understand.  The ``time_us`` key and the event-plane kinds
 are additive within ``repro.obs.trace/v1``: every record a prior
 producer wrote is still valid, and consumers that predate the key
-ignore it.  The historical import path ``repro.sim.trace`` re-exports
-this module unchanged.
+ignore it.  ``repro.sim`` re-exports :class:`TraceLog` and
+:class:`TraceRecord` for its callers.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ Build a :class:`PmcastGroup` over an interest assignment from
 :class:`CrashSchedule`.
 """
 
+from repro.obs.trace import TraceLog, TraceRecord
 from repro.sim.churn import ChurnEvent, ChurnSchedule, poisson_churn, run_with_churn
 from repro.sim.crashes import CrashSchedule
 from repro.sim.engine import run_dissemination
@@ -14,7 +15,6 @@ from repro.sim.metrics import DisseminationReport, ReportSummary, summarize_repo
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng, derive_seed
 from repro.sim.runtime import GroupRuntime
-from repro.sim.trace import TraceLog, TraceRecord
 from repro.sim.vector import (
     RegularTreeSpec,
     ShardState,

@@ -21,20 +21,20 @@ from repro.addressing import Address
 from repro.config import SimConfig
 from repro.core.context import GossipContext
 from repro.errors import SimulationError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.obs.probes import Observer
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.sampling import TraceSampler
 from repro.obs.timeline import TimelineRecorder
+from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
-from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceLog
 from repro.sim.vector import try_run_vectorized
+from repro.variants.base import run_variant, setup_run
+from repro.variants.pmcast import PmcastVariant
 
 __all__ = ["run_dissemination"]
 
@@ -104,30 +104,18 @@ def run_dissemination(
         if timeline is None:
             timeline = observer.timeline
     registry = observer.registry if observer is not None else NULL_REGISTRY
-    gossip_rng = derive_rng(sim_config.seed, "gossip", event.event_id)
-    if network is None:
-        network = LossyNetwork(
-            sim_config.loss_probability,
-            derive_rng(sim_config.seed, "network", event.event_id),
-        )
-    if crash_schedule is None:
-        crash_schedule = CrashSchedule.sample(
-            group.addresses(),
-            sim_config.crash_fraction,
-            horizon=sim_config.max_rounds,
-            rng=derive_rng(sim_config.seed, "crash", event.event_id),
-        )
-
-    injector: Optional[FaultInjector] = None
-    if faults is not None:
-        injector = FaultInjector(
-            faults,
-            group.tree,
-            derive_rng(sim_config.seed, "faults", event.event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
-        )
-
+    gossip_rng, network, crash_schedule, injector = setup_run(
+        sim_config,
+        event.event_id,
+        "",
+        sim_config.max_rounds,
+        group.addresses,
+        lambda: group.tree,
+        trace=trace,
+        network=network,
+        crash_schedule=crash_schedule,
+        faults=faults,
+    )
     ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
     origin = group.node(publisher)
     if not origin.alive:
@@ -175,9 +163,6 @@ def run_dissemination(
     # very loop — see repro.variants.base).  PmcastVariant is an exact
     # port: same insertion-ordered active set, same RNG draw order,
     # same trace records, bit-identical reports.
-    from repro.variants.base import run_variant
-    from repro.variants.pmcast import PmcastVariant
-
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
     return run_variant(
         variant,

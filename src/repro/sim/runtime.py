@@ -31,9 +31,7 @@ its GOSSIP task returns immediately without drawing randomness, so the
 active-set walk consumes the shared RNG exactly like the full scan,
 provided the visit *order* matches.  The runtime therefore stamps each
 node with a wiring sequence number and walks the active set in that
-order — the same order the full scan would use.  Construct with
-``active_scheduling=False`` to restore the full per-round scan (an
-ablation hook for benchmarks); results are identical either way.
+order — the same order the full scan would use.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from repro.obs.probes import NULL_OBSERVER, Observer
 from repro.obs.timeline import NULL_SPAN
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_rng
+from repro.variants.base import emit_dispositions
 
 __all__ = ["GroupRuntime"]
 
@@ -88,10 +87,6 @@ class GroupRuntime:
             from the sender's replica ("membership information can be
             piggybacked when gossiping events", §2.3), accelerating
             view convergence wherever events already flow.
-        active_scheduling: walk only event-buffering nodes per round
-            (the default); ``False`` restores the full O(n) scan for
-            ablation measurements.  The two modes produce identical
-            results.
         observer: an optional :class:`~repro.obs.probes.Observer`.
             Its registry receives per-subsystem counters (``runtime``,
             ``membership``, ``views``, ``detector``, ``gossip_pull``,
@@ -129,7 +124,6 @@ class GroupRuntime:
         detector_timeout: int = 12,
         exclusion_quorum: Optional[int] = None,
         piggyback_membership: bool = False,
-        active_scheduling: bool = True,
         observer: Optional[Observer] = None,
         fault_plan: Optional[FaultPlan] = None,
         schedule: Optional[Schedule] = None,
@@ -141,7 +135,6 @@ class GroupRuntime:
         self._detector_timeout = detector_timeout
         self._exclusion_quorum = exclusion_quorum
         self._piggyback_membership = piggyback_membership
-        self._active_scheduling = active_scheduling
         self._schedule = schedule
         self._schedule_keys: Dict[Address, str] = {}
         self._tree = MembershipTree.build(members, self._config.redundancy)
@@ -490,33 +483,21 @@ class GroupRuntime:
     def _fan_out_round(self) -> List[Envelope]:
         """Collect this round's gossip envelopes from every live node.
 
-        With active scheduling only buffered nodes are visited (in
-        their stable join order, so the shared gossip RNG sees the same
-        sender sequence either way); idle nodes drop off the set.
+        Only buffered nodes are visited, in their stable join order
+        (so the shared gossip RNG sees the sender sequence a full scan
+        would produce); idle nodes drop off the set.
         """
         envelopes: List[Envelope] = []
-        if self._active_scheduling:
-            for address in sorted(
-                self._active, key=self._node_seq.__getitem__
-            ):
-                node = self._nodes[address]
-                if not node.alive or address not in self._tree:
-                    continue
-                for __ in range(self._fires_for(address)):
-                    envelopes.extend(node.gossip_step(self._ctx))
-                    if node.is_idle:
-                        break
+        for address in sorted(self._active, key=self._node_seq.__getitem__):
+            node = self._nodes[address]
+            if not node.alive or address not in self._tree:
+                continue
+            for __ in range(self._fires_for(address)):
+                envelopes.extend(node.gossip_step(self._ctx))
                 if node.is_idle:
-                    self._active.discard(address)
-        else:
-            for address, node in self._nodes.items():
-                if node.alive and address in self._tree:
-                    for __ in range(self._fires_for(address)):
-                        envelopes.extend(node.gossip_step(self._ctx))
-                        if node.is_idle:
-                            break
-                    if node.is_idle:
-                        self._active.discard(address)
+                    break
+            if node.is_idle:
+                self._active.discard(address)
         return envelopes
 
     def _exchange_round(self, envelopes: List[Envelope]) -> None:
@@ -532,23 +513,15 @@ class GroupRuntime:
         # round's sends; injected losses are in the "faults" collector.
         self._m_lost.inc(max(len(envelopes) - len(survivors), 0))
         if self._obs.tracing and envelopes:
-            arrived = {id(envelope) for envelope in survivors}
-            diverted = (
+            emit_dispositions(
+                envelopes,
+                {id(envelope) for envelope in survivors},
                 self._injector.last_diverted
                 if self._injector is not None
-                else frozenset()
+                else frozenset(),
+                self._obs.emit,
+                self._round,
             )
-            for envelope in envelopes:
-                if id(envelope) in diverted:
-                    continue
-                self._obs.emit(
-                    self._round,
-                    "send" if id(envelope) in arrived else "loss",
-                    envelope.message.sender,
-                    peer=envelope.destination,
-                    event_id=envelope.message.event.event_id,
-                    depth=envelope.message.depth,
-                )
         for envelope in survivors:
             receiver = self._nodes.get(envelope.destination)
             if receiver is None or not receiver.alive:
@@ -604,15 +577,8 @@ class GroupRuntime:
             pending = (
                 self._injector is not None and self._injector.has_pending
             )
-            if not pending:
-                if self._active_scheduling:
-                    if not self._active:
-                        return executed
-                elif all(
-                    node.is_idle or not node.alive
-                    for node in self._nodes.values()
-                ):
-                    return executed
+            if not pending and not self._active:
+                return executed
             self.step()
         return max_rounds
 
@@ -1052,11 +1018,6 @@ class GroupRuntime:
         churn-driven hit-rate collapses are attributable.
         """
         self._ctx.note_invalidation(cause)
-        if not self._ctx.keyed_cache:
-            # The legacy identity-keyed cache cannot tell a mutated
-            # table from its old state; global invalidation is its only
-            # safe response to a membership change.
-            self._ctx.invalidate()
         self._clock += 1
         self._membership_changed(address)
         touched = 0

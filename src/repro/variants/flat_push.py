@@ -37,6 +37,7 @@ from repro.core.rounds import pittel_rounds, round_bound
 from repro.errors import SimulationError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
+from repro.membership.tree import MembershipTree
 from repro.sim.crashes import CrashSchedule
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
@@ -46,6 +47,8 @@ from repro.variants.base import (
     Emit,
     VariantEnvelope,
     VariantMessage,
+    run_variant,
+    setup_run,
 )
 
 __all__ = ["FlatPushVariant", "FLAT_MAX_ROUND_BOUND", "run_flat_style"]
@@ -333,41 +336,27 @@ def run_flat_style(
 ) -> DisseminationReport:
     """Drive a flat-style variant with the flat baselines' RNG scheme.
 
-    The network stream is ``("flat-network", event_id)``, crash
+    :func:`~repro.variants.base.setup_run` with the ``"flat-"`` prefix:
+    the network stream is ``("flat-network", event_id)``, crash
     sampling is ``("flat-crash", event_id)`` over ``max(bound, 1)``
     rounds, and the fault injector (when a plan is given) gets its own
     ``("flat-faults", event_id)`` stream over a
     :class:`~repro.membership.tree.MembershipTree` built from the
     member mapping — so a faulted run with the same seed leaves the
     gossip/network/crash draws untouched, exactly like the engine.
+    (The variant already holds its ``flat-gossip`` stream.)
     """
-    from repro.sim.rng import derive_rng
-    from repro.variants.base import run_variant
-
-    event_id = variant.event.event_id
-    network = LossyNetwork(
-        sim_config.loss_probability,
-        derive_rng(sim_config.seed, "flat-network", event_id),
+    __, network, crash_schedule, injector = setup_run(
+        sim_config,
+        variant.event.event_id,
+        "flat-",
+        max(variant.bound, 1),
+        lambda: variant.addresses,
+        lambda: MembershipTree.build(variant.members, redundancy=1),
+        trace=trace,
+        crash_schedule=crash_schedule,
+        faults=faults,
     )
-    if crash_schedule is None:
-        crash_schedule = CrashSchedule.sample(
-            variant.addresses,
-            sim_config.crash_fraction,
-            horizon=max(variant.bound, 1),
-            rng=derive_rng(sim_config.seed, "flat-crash", event_id),
-        )
-    injector = None
-    if faults is not None:
-        from repro.faults.injector import FaultInjector
-        from repro.membership.tree import MembershipTree
-
-        injector = FaultInjector(
-            faults,
-            MembershipTree.build(variant.members, redundancy=1),
-            derive_rng(sim_config.seed, "flat-faults", event_id),
-            emit=trace.record if trace is not None else None,
-            clock_offset=1,
-        )
     return run_variant(
         variant,
         sim_config,

@@ -7,7 +7,7 @@ from repro.bench.perf import SCHEMA, main, run_suite
 
 class TestRunSuite:
     def test_small_suite_has_all_sections(self):
-        report = run_suite(arity=3, depth=2, seed=0, modes=["current"])
+        report = run_suite(arity=3, depth=2, seed=0)
         results = report["results"]["current"]
         for name in ("round_loop", "engine", "churn_refresh", "match_cache"):
             assert name in results
@@ -16,18 +16,6 @@ class TestRunSuite:
         assert results["round_loop"]["digest"]
         assert results["round_loop"]["active_count_final"] == 0
         assert results["round_loop"]["cache_stats"]["table_hits"] > 0
-
-    def test_modes_produce_identical_digests(self):
-        report = run_suite(
-            arity=3,
-            depth=2,
-            seed=0,
-            modes=["current", "legacy"],
-            benches=["round_loop", "match_cache"],
-        )
-        checks = report["identity_check"]
-        assert checks["round_loop"]["identical"]
-        assert checks["match_cache"]["identical"]
 
 
 class TestCli:

@@ -66,10 +66,7 @@ class TestKeyedCache:
 
         ``replace_rows`` reuses the very same object (same ``id``) for
         entirely new content — the strongest form of identity reuse a
-        recycled allocation could produce.  The keyed cache must miss;
-        the legacy identity-keyed cache demonstrably serves the stale
-        match until globally invalidated, which is why every membership
-        change had to call ``invalidate()`` under that scheme.
+        recycled allocation could produce.  The keyed cache must miss.
         """
         new_rows = [
             ViewRow(7, (Address((0, 7)),), StaticInterest(True), 1)
@@ -83,14 +80,6 @@ class TestKeyedCache:
         fresh = keyed.table_match(table, event)
         assert fresh is not stale
         assert fresh.matching == {Address((0, 7))}
-
-        legacy = GossipContext(random.Random(0), keyed_cache=False)
-        table = make_table()
-        stale = legacy.table_match(table, event)
-        table.replace_rows(new_rows)
-        assert legacy.table_match(table, event) is stale  # the hazard
-        legacy.invalidate()
-        assert legacy.table_match(table, event).matching == {Address((0, 7))}
 
     def test_verdicts_survive_churn_and_invalidate(self):
         context = GossipContext(random.Random(0))

@@ -1,9 +1,8 @@
 """Round-less trace records (ISSUE 9 satellite regression).
 
-The ``repro.sim.trace`` shim and :class:`TraceRecord` historically
-assumed every record carries a round number.  Event-driven runtimes
-have no rounds — their records are keyed by ``time_us`` instead of a
-fabricated round.  These tests pin the whole pipeline: construction,
+:class:`~repro.obs.trace.TraceRecord` historically assumed every
+record carries a round number.  Event-driven runtimes have no rounds —
+their records are keyed by ``time_us`` instead of a fabricated round.  These tests pin the whole pipeline: construction,
 ordering, serialization, file validation, summarize and merge.
 """
 

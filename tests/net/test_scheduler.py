@@ -97,8 +97,9 @@ class TestJitteredSchedule:
             assert 95 <= total <= 100
 
     def test_rejects_negative_jitter(self):
-        with pytest.raises(NetError):
-            JitteredSchedule(jitter=-0.1)
+        for jitter in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(NetError):
+                JitteredSchedule(jitter=jitter)
 
 
 class TestStragglerSchedule:

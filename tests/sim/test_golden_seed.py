@@ -5,8 +5,7 @@ Two guarantees are pinned here:
 * **Continuity across the performance overhaul** — the ``runtime``
   golden values were captured on the code base *before* active-set
   scheduling, keyed match caching and incremental view refresh were
-  introduced.  The optimized runtime must reproduce them bit for bit,
-  in both scheduling modes.
+  introduced.  The optimized runtime must reproduce them bit for bit.
 * **Cross-process determinism** — ``Address``/``Prefix`` hash only
   integers (string hashes are randomized per process via
   ``PYTHONHASHSEED``, and historically leaked into set iteration order
@@ -23,8 +22,6 @@ from repro.sim.group import PmcastGroup
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests, random_subscriptions
-
-import pytest
 
 
 class TestEngineGolden:
@@ -85,8 +82,7 @@ class TestEngineGolden:
 class TestRuntimeGolden:
     """Publish + join + crash/exclusion + leave, pinned pre-overhaul."""
 
-    @pytest.mark.parametrize("active_scheduling", [True, False])
-    def test_churn_scenario(self, active_scheduling):
+    def test_churn_scenario(self):
         space = AddressSpace.regular(3, 2)
         addresses = space.enumerate_regular(3)
         members = bernoulli_interests(
@@ -99,7 +95,6 @@ class TestRuntimeGolden:
             config=PmcastConfig(fanout=2, redundancy=2),
             sim_config=SimConfig(seed=5, loss_probability=0.02),
             detector_timeout=4,
-            active_scheduling=active_scheduling,
         )
         event_a = Event({"golden": 1}, event_id=201)
         runtime.publish(addresses[0], event_a)

@@ -203,46 +203,6 @@ class TestActiveSetScheduling:
         runtime.crash(addresses[0])
         assert runtime.active_count == infected - 1
 
-    def test_both_modes_identical_through_churn(self):
-        """The ablation switch changes cost, never results."""
-        outcomes = []
-        for active_scheduling in (True, False):
-            runtime, addresses = make_runtime(
-                timeout=5, active_scheduling=active_scheduling
-            )
-            event_a = Event({}, event_id=71)
-            runtime.publish(addresses[0], event_a)
-            runtime.run(2)
-            runtime.crash(addresses[4])
-            joiner = Address((2, 9))
-            runtime.join(joiner, StaticInterest(True))
-            event_b = Event({}, event_id=72)
-            runtime.publish(addresses[-1], event_b)
-            runtime.run(30)
-            runtime.leave(addresses[2])
-            idle = runtime.run_until_idle()
-            outcomes.append(
-                (
-                    runtime.delivered_to(event_a),
-                    runtime.delivered_to(event_b),
-                    runtime.exclusion_round(addresses[4]),
-                    runtime.round,
-                    idle,
-                    sum(
-                        runtime.node(a).messages_sent
-                        for a in runtime.tree.members()
-                    ),
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_legacy_mode_flag(self):
-        runtime, addresses = make_runtime(active_scheduling=False)
-        runtime.publish(addresses[0], Event({}, event_id=8))
-        assert runtime.active_count == 1
-        assert runtime.run_until_idle() > 0
-        assert runtime.active_count == 0
-
 
 class TestCacheCorrectnessUnderChurn:
     def test_join_leave_rejoin_serves_no_stale_matches(self):
@@ -285,4 +245,3 @@ class TestCacheCorrectnessUnderChurn:
         stats = runtime._ctx.cache_stats
         assert stats.table_hits + stats.table_misses > 0
         assert 0.0 <= stats.table_hit_rate <= 1.0
-        assert runtime._ctx.keyed_cache
