@@ -243,7 +243,12 @@ def bench_faulted_round_loop(
 def bench_engine(
     arity: int, depth: int, seed: int
 ) -> Dict[str, Any]:
-    """One static-group dissemination (the Figure 4/5 inner loop)."""
+    """One static-group dissemination (the Figure 4/5 inner loop).
+
+    ``vector_fallbacks`` counts the runs ``run_dissemination`` sent to
+    the scalar loop instead of the compat kernel; this dissemination is
+    eligible, so CI asserts 0.
+    """
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
 
@@ -258,9 +263,14 @@ def bench_engine(
     build_seconds = time.perf_counter() - started
 
     event = Event({"perf": 1}, event_id=7)
+    registry = MetricsRegistry()
     started = time.perf_counter()
     report = run_dissemination(
-        group, addresses[0], event, SimConfig(seed=seed)
+        group,
+        addresses[0],
+        event,
+        SimConfig(seed=seed),
+        observer=Observer(registry=registry),
     )
     seconds = time.perf_counter() - started
     return {
@@ -268,6 +278,7 @@ def bench_engine(
         "build_seconds": round(build_seconds, 4),
         "seconds": round(seconds, 4),
         "rounds": report.rounds,
+        "vector_fallbacks": registry.counter("sim", "vector_fallback").value,
         "delivered_interested": report.delivered_interested,
         "received_uninterested": report.received_uninterested,
         "messages_sent": report.messages_sent,
@@ -540,9 +551,12 @@ def bench_scale_loop(
     Two measurements back the two claims of the struct-of-arrays path:
 
     1. **Bit-identity at the bench scale** — the same dissemination as
-       ``engine`` is run twice on fresh groups, scalar vs.
-       ``vectorized=True``; the outcome digests must match
-       (``digest_identical``) and the ratio of the wall-clocks is
+       ``engine`` is run twice on fresh groups: through
+       ``run_dissemination`` (which picks the compat kernel) and
+       through the scalar reference, reached by the calls the engine
+       makes when it falls back (``setup_run`` → ``GossipContext`` →
+       ``PmcastVariant`` → ``run_variant``).  The outcome digests must
+       match (``digest_identical``) and the ratio of the wall-clocks is
        ``speedup_vectorized``.
     2. **Scale trajectory** — the sharded numpy kernel
        (:func:`repro.par.subtree.run_sharded_dissemination`) runs a
@@ -560,9 +574,12 @@ def bench_scale_loop(
     estimate against the run's own report — the end-to-end proof that
     sampled observability works at 10⁶ members.
     """
+    from repro.core.context import GossipContext
     from repro.par.subtree import build_regular_spec, run_sharded_dissemination
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
+    from repro.variants.base import run_variant, setup_run
+    from repro.variants.pmcast import PmcastVariant
 
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
@@ -572,19 +589,33 @@ def bench_scale_loop(
     config = PmcastConfig(fanout=3, redundancy=3)
     event = Event({"perf": 1}, event_id=7)
 
-    def engine_run(vectorized: bool):
+    sim_config = SimConfig(seed=seed)
+
+    def scalar_reference(group):
+        gossip_rng, network, crash_schedule, __ = setup_run(
+            sim_config,
+            event.event_id,
+            "",
+            sim_config.max_rounds,
+            group.addresses,
+            lambda: group.tree,
+        )
+        ctx = GossipContext(gossip_rng, threshold_h=config.threshold_h)
+        variant = PmcastVariant(group, addresses[0], event, ctx, sim_config)
+        return run_variant(variant, sim_config, network, crash_schedule)
+
+    def timed(run):
         group = PmcastGroup.build(members, config)
         started = time.perf_counter()
-        report = run_dissemination(
-            group,
-            addresses[0],
-            event,
-            SimConfig(seed=seed, vectorized=vectorized),
-        )
+        report = run(group)
         return time.perf_counter() - started, report
 
-    scalar_seconds, scalar_report = engine_run(False)
-    vector_seconds, vector_report = engine_run(True)
+    scalar_seconds, scalar_report = timed(scalar_reference)
+    vector_seconds, vector_report = timed(
+        lambda group: run_dissemination(
+            group, addresses[0], event, sim_config
+        )
+    )
     scalar_digest = _report_digest(scalar_report)
     vector_digest = _report_digest(vector_report)
 

@@ -12,11 +12,33 @@ between the nodes of a group.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
 __all__ = ["PmcastConfig", "SimConfig"]
+
+
+def _check_kinds(config: object, integral=(), real=()) -> None:
+    """Reject non-integral integer fields and NaN real fields.
+
+    ``operator.index`` accepts exactly the integer-like types (numpy
+    integers included), and NaN passes every range comparison, so both
+    would otherwise surface mid-run as a bare ``TypeError``/``ValueError``
+    or as a silently different protocol decision.
+    """
+    for name in integral:
+        try:
+            operator.index(getattr(config, name))
+        except TypeError:
+            raise ConfigError(
+                f"{name}={getattr(config, name)!r} must be an integer"
+            ) from None
+    for name in real:
+        if math.isnan(getattr(config, name)):
+            raise ConfigError(f"{name} must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,18 @@ class PmcastConfig:
     leaf_flood_threshold: float = 2.0
 
     def __post_init__(self) -> None:
+        _check_kinds(
+            self,
+            integral=(
+                "fanout",
+                "redundancy",
+                "period_ms",
+                "threshold_h",
+                "min_rounds_per_depth",
+                "max_rounds_per_depth",
+            ),
+            real=("pittel_c", "leaf_flood_threshold"),
+        )
         if self.fanout < 1:
             raise ConfigError(f"fanout F={self.fanout} must be >= 1")
         if self.redundancy < 1:
@@ -113,21 +147,15 @@ class SimConfig:
             uniformly random round of the run).
         seed: master seed for all randomness of a run.
         max_rounds: hard stop for the simulation loop.
-        vectorized: run eligible disseminations on the struct-of-arrays
-            fast path (:mod:`repro.sim.vector`).  The fast path consumes
-            the same RNG streams in the same order as the scalar loop,
-            so results are bit-identical; runs it cannot express (link
-            rules, traces, fault plans, non-idle nodes) silently fall
-            back to the scalar engine.
     """
 
     loss_probability: float = 0.0
     crash_fraction: float = 0.0
     seed: int = 0
     max_rounds: int = 512
-    vectorized: bool = False
 
     def __post_init__(self) -> None:
+        _check_kinds(self, integral=("seed", "max_rounds"))
         if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigError(
                 f"loss probability {self.loss_probability} not in [0, 1)"

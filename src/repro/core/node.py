@@ -41,7 +41,7 @@ from repro.core.buffers import BufferedEvent, DepthBuffers
 from repro.core.context import GossipContext
 from repro.core.messages import Envelope, GossipMessage
 from repro.core.rate import TableMatch
-from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
+from repro.core.rounds import view_round_bound
 from repro.errors import ProtocolError
 from repro.interests.events import Event
 from repro.interests.subscriptions import Interest
@@ -313,28 +313,7 @@ class PmcastNode:
             table,
             rate,
             self._config,
-            lambda: self._compute_round_bound(table, rate),
-        )
-
-    def _compute_round_bound(self, table: ViewTable, rate: float) -> int:
-        effective_n = table.entry_count * rate
-        effective_f = self._config.fanout * rate
-        if self._config.loss_aware_rounds:
-            estimate = loss_adjusted_rounds(
-                effective_n,
-                effective_f,
-                self._config.assumed_loss,
-                self._config.assumed_crash,
-                self._config.pittel_c,
-            )
-        else:
-            estimate = pittel_rounds(
-                effective_n, effective_f, self._config.pittel_c
-            )
-        return round_bound(
-            estimate,
-            self._config.min_rounds_per_depth,
-            self._config.max_rounds_per_depth,
+            lambda: view_round_bound(table.entry_count, rate, self._config),
         )
 
     def _emit_gossips(

@@ -20,7 +20,6 @@ from repro.sim.vector import (
     ShardState,
     VectorUnsupported,
     run_shard_wave,
-    try_run_vectorized,
 )
 from repro.sim.workload import (
     bernoulli_interests,
@@ -49,7 +48,6 @@ __all__ = [
     "ShardState",
     "VectorUnsupported",
     "run_shard_wave",
-    "try_run_vectorized",
     "derive_rng",
     "derive_seed",
     "bernoulli_interests",

@@ -14,7 +14,6 @@ collection emptied all buffers) or at the ``max_rounds`` safety cap.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.addressing import Address
@@ -86,10 +85,10 @@ def run_dissemination(
             records are never sampled — they are scripted, sparse, and
             the trace's explanation of any damage.
         observer: optional :class:`~repro.obs.probes.Observer`.  Its
-            registry receives the ``sim.vector_fallback*`` counters
-            when ``vectorized=True`` has to fall back to this scalar
-            loop; its ``sampler``/``timeline`` act as defaults for the
-            corresponding arguments.
+            registry receives the compat kernel's ``vector.*`` counters,
+            or the ``sim.vector_fallback*`` counters when the run has to
+            take the scalar loop instead; its ``sampler``/``timeline``
+            act as defaults for the corresponding arguments.
         timeline: optional :class:`~repro.obs.timeline.TimelineRecorder`
             receiving per-round ``fan_out``/``exchange`` wall-clock
             spans (out of band; never affects the run).
@@ -117,53 +116,38 @@ def run_dissemination(
         faults=faults,
     )
     ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
-    origin = group.node(publisher)
-    if not origin.alive:
+    variant = PmcastVariant(group, publisher, event, ctx, sim_config)
+    if not variant.origin.alive:
         raise SimulationError(f"publisher {publisher} has crashed")
 
-    if sim_config.vectorized:
-        reason = None
-        if injector is not None:
-            reason = "faults"
-        elif network.has_link_rules:
-            reason = "link_rules"
-        if reason is None:
-            # The struct-of-arrays fast path consumes the same RNG
-            # streams in the same order — and emits the same trace
-            # records — so an eligible run is bit-identical to the
-            # scalar loop below; an ineligible one returns None with
-            # the streams untouched and falls through to it.
-            report = try_run_vectorized(
-                group,
-                publisher,
-                event,
-                sim_config,
-                ctx,
-                network,
-                crash_schedule,
-                trace=trace,
-                sampler=sampler,
-                registry=registry,
-                timeline=timeline,
-            )
-            if report is not None:
-                return report
-            reason = "ineligible"
-        registry.counter("sim", "vector_fallback").inc()
-        registry.counter("sim", f"vector_fallback_{reason}").inc()
-        warnings.warn(
-            f"SimConfig(vectorized=True) ignored ({reason}): "
-            "falling back to the scalar engine",
-            RuntimeWarning,
-            stacklevel=2,
+    # The kernel is picked from the inputs.  Every eligible run takes
+    # the compat kernel (repro.sim.vector): it consumes the same RNG
+    # streams in the same order and emits the same trace records, so it
+    # is bit-identical to the scalar loop.  Fault plans and link rules
+    # own the transmit step, and the kernel declines groups it cannot
+    # flatten (returning None with every stream untouched); those runs
+    # take the pmcast strategy on the shared round driver
+    # (repro.variants.base), which is the conformance reference.
+    if injector is not None:
+        reason = "faults"
+    elif network.has_link_rules:
+        reason = "link_rules"
+    else:
+        report = try_run_vectorized(
+            variant,
+            sim_config,
+            network,
+            crash_schedule,
+            trace=trace,
+            sampler=sampler,
+            registry=registry,
+            timeline=timeline,
         )
-
-    # The scalar path is the pmcast dissemination strategy running on
-    # the shared round driver (the strategy seam extracted from this
-    # very loop — see repro.variants.base).  PmcastVariant is an exact
-    # port: same insertion-ordered active set, same RNG draw order,
-    # same trace records, bit-identical reports.
-    variant = PmcastVariant(group, publisher, event, ctx, sim_config)
+        if report is not None:
+            return report
+        reason = "ineligible"
+    registry.counter("sim", "vector_fallback").inc()
+    registry.counter("sim", f"vector_fallback_{reason}").inc()
     return run_variant(
         variant,
         sim_config,

@@ -2,21 +2,21 @@
 
 Two kernels live here, with different contracts:
 
-**Compat kernel** (:func:`try_run_vectorized`) — a flattened re-
-implementation of :func:`repro.sim.engine.run_dissemination`'s round
-loop over dense integer indices instead of the per-member object model.
-It consumes the *same* ``random.Random`` streams in the *same* order as
-the scalar engine (destination draws via a position-level mirror of
-CPython's ``random.sample``, loss draws via
-:meth:`~repro.sim.network.LossyNetwork.transmit_flags`), so its
-:class:`~repro.sim.metrics.DisseminationReport` is bit-identical to the
-scalar path's for any eligible run — and so is its trace: the kernel
-emits the same ``repro.obs.trace/v1`` records in the same order (through
-the same optional :class:`~repro.obs.sampling.TraceSampler`), so a
-traced run no longer forces the scalar path.  Selected by
-``SimConfig(vectorized=True)``; ineligible runs (non-idle nodes,
-irregular address depths, link rules, fault plans) fall back to the
-scalar engine, which counts and warns about the fallback.
+**Compat kernel** (:func:`try_run_vectorized`) — the pmcast round loop
+(:class:`~repro.variants.pmcast.PmcastVariant` on the shared driver)
+flattened onto dense integer indices instead of the per-member object
+model.  It consumes the *same* ``random.Random`` streams in the *same*
+order as the scalar loop (destination draws via a position-level mirror
+of CPython's ``random.sample``, loss draws via
+:meth:`~repro.sim.network.LossyNetwork.transmit_flags`) and emits the
+same ``repro.obs.trace/v1`` records in the same order (through the same
+optional :class:`~repro.obs.sampling.TraceSampler`); everything outside
+the hot loop — the line-7 round bound, the §3.2 shortcut, the trace
+metadata and the report — is the scalar code itself, so an eligible
+run is bit-identical.  :func:`repro.sim.engine.run_dissemination` picks
+it for every run it can express; the rest (fault plans, link rules,
+non-idle nodes, irregular address depths) take the scalar loop, and
+the engine counts each such fallback.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` /
 :func:`run_shard_wave`) — a fully vectorized numpy round step for the
@@ -48,10 +48,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.addressing import Address
 from repro.config import PmcastConfig, SimConfig
 from repro.core.context import GossipContext
-from repro.core.rounds import loss_adjusted_rounds, pittel_rounds, round_bound
+from repro.core.rounds import view_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.registry import MetricsRegistry, registry_or_null
@@ -63,6 +62,7 @@ from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_seed
+from repro.variants.pmcast import PmcastVariant, assemble_pmcast_report
 
 __all__ = [
     "VectorUnsupported",
@@ -150,25 +150,7 @@ class _DepthMatch:
     def bound_for(self, rate: float, config: PmcastConfig) -> int:
         bound = self.bounds.get(rate)
         if bound is None:
-            effective_n = self.entry_count * rate
-            effective_f = config.fanout * rate
-            if config.loss_aware_rounds:
-                estimate = loss_adjusted_rounds(
-                    effective_n,
-                    effective_f,
-                    config.assumed_loss,
-                    config.assumed_crash,
-                    config.pittel_c,
-                )
-            else:
-                estimate = pittel_rounds(
-                    effective_n, effective_f, config.pittel_c
-                )
-            bound = round_bound(
-                estimate,
-                config.min_rounds_per_depth,
-                config.max_rounds_per_depth,
-            )
+            bound = view_round_bound(self.entry_count, rate, config)
             self.bounds[rate] = bound
         return bound
 
@@ -268,29 +250,9 @@ def _build_compat_spec(
     return spec
 
 
-def _publisher_depth(group: PmcastGroup, publisher: Address, event: Event) -> int:
-    """§3.2 local-interest shortcut, as the scalar ``pmcast`` runs it."""
-    node = group.node(publisher)
-    depth = 1
-    while depth < node.tree_depth:
-        table = node.view(depth)
-        own_infix = publisher.components[depth - 1]
-        interested_infixes = {
-            row.infix for row in table.matching_rows(event)
-        }
-        if interested_infixes <= {own_infix}:
-            depth += 1
-        else:
-            break
-    return depth
-
-
 def try_run_vectorized(
-    group: PmcastGroup,
-    publisher: Address,
-    event: Event,
+    variant: PmcastVariant,
     sim_config: SimConfig,
-    ctx: GossipContext,
     network: LossyNetwork,
     crash_schedule: CrashSchedule,
     trace: Optional[TraceLog] = None,
@@ -300,15 +262,22 @@ def try_run_vectorized(
 ) -> Optional[DisseminationReport]:
     """Run one dissemination on the compat kernel, or None to fall back.
 
-    Stream-compatible with the scalar engine: same gossip/loss draws in
-    the same order, same report, the same trace records in the same
-    order (optionally filtered through ``sampler``), and the object
-    model (node liveness, delivery sets, message counters, leftover
-    buffers) is written back so post-run inspection cannot tell the
-    paths apart.  ``registry`` receives per-round ``vector.*`` counters;
-    ``timeline`` receives ``match``/``fan_out``/``exchange`` spans —
-    both out of band.
+    Executes the freshly built ``variant`` (its group, publisher, event,
+    gossip context, ground truth and trace metadata) without ever
+    calling its scalar hooks.  Stream-compatible with the scalar engine:
+    same gossip/loss draws in the same order, the same trace records in
+    the same order (optionally filtered through ``sampler``), and the
+    object model (node liveness, delivery sets, message counters,
+    leftover buffers) is written back before the run is scored by the
+    variant's own report arithmetic, so post-run inspection cannot tell
+    the paths apart.  ``registry`` receives per-round ``vector.*``
+    counters; ``timeline`` receives ``match``/``fan_out``/``exchange``
+    spans — both out of band.
     """
+    group = variant.group
+    publisher = variant.publisher
+    event = variant.event
+    ctx = variant.ctx
     registry = registry_or_null(registry)
     with (
         timeline.span("match", "vector")
@@ -328,13 +297,7 @@ def try_run_vectorized(
     fanout = config.fanout
     flood_threshold = config.leaf_flood_threshold
     randbelow = ctx.rng._randbelow
-
-    pub = index_of.get(publisher)
-    if pub is None:
-        raise SimulationError(f"{publisher} is not in the group")
-
-    # Ground truth before anybody crashes (exactly the scalar order).
-    interested = set(group.interested_members(event))
+    pub = index_of[publisher]
 
     # PMCAST bootstrap (Figure 3 lines 24-25).
     if spec.received[pub]:
@@ -347,7 +310,7 @@ def try_run_vectorized(
     if own_match[pub]:
         delivered[pub] = True
     publish_depth = (
-        _publisher_depth(group, publisher, event)
+        variant.origin._shortcut_depth(event, ctx)
         if config.local_interest_shortcut
         else 1
     )
@@ -366,21 +329,7 @@ def try_run_vectorized(
             if sampler is None
             else SampledTrace(trace, sampler).record
         )
-        # Byte-identical metadata to the scalar engine's: offline
-        # tooling cannot (and must not) tell the producers apart.
-        trace.annotate(
-            producer="repro.sim.engine",
-            publisher=str(publisher),
-            event_id=event.event_id,
-            group_size=group.size,
-            interested=sorted(str(address) for address in interested),
-            interested_count=len(interested),
-            uninterested_count=group.size
-            - len(interested)
-            - (0 if publisher in interested else 1),
-            publisher_interested=publisher in interested,
-            seed=sim_config.seed,
-        )
+        trace.annotate(**variant.trace_meta())
         emit(0, "publish", publisher, event_id=event.event_id)
         if delivered[pub]:
             emit(0, "deliver", publisher, event_id=event.event_id)
@@ -600,35 +549,19 @@ def try_run_vectorized(
             buffered=buffered,
         )
 
-    delivered_interested = sum(
-        1 for address in interested if delivered[index_of[address]]
-    )
-    uninterested = [
-        address
-        for address in spec.addresses
-        if address not in interested and address != publisher
-    ]
-    received_uninterested = sum(
-        1 for address in uninterested if received[index_of[address]]
-    )
-    received_total = infected_count
-    messages_sent = sum(sent_count)
-    receptions = sum(recv_count)
-    first_receptions = received_total - 1
-    return DisseminationReport(
-        group_size=group.size,
-        interested=len(interested),
-        uninterested=len(uninterested),
-        delivered_interested=delivered_interested,
-        received_uninterested=received_uninterested,
-        received_total=received_total,
-        crashed=crash_schedule.victim_count,
-        rounds=rounds,
-        messages_sent=messages_sent,
-        messages_lost=network.messages_lost,
-        duplicate_receptions=max(receptions - first_receptions, 0),
-        infection_curve=tuple(infection_curve),
-        messages_by_distance=tuple(messages_by_distance),
+    return assemble_pmcast_report(
+        group,
+        publisher,
+        event,
+        variant.interested,
+        infected_count,
+        rounds,
+        tuple(infection_curve),
+        tuple(messages_by_distance),
+        network.messages_lost,
+        crash_schedule.victim_count,
+        sent_before=variant.sent_before,
+        receptions_before=variant.receptions_before,
     )
 
 

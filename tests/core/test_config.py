@@ -35,6 +35,9 @@ class TestPmcastConfig:
             {"max_rounds_per_depth": 0},
             {"min_rounds_per_depth": 9, "max_rounds_per_depth": 3},
             {"leaf_flood_threshold": -0.1},
+            {"leaf_flood_threshold": float("nan")},
+            {"pittel_c": float("nan")},
+            {"fanout": 2.5},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -56,6 +59,7 @@ class TestSimConfig:
             {"loss_probability": -0.1},
             {"crash_fraction": 1.0},
             {"max_rounds": 0},
+            {"max_rounds": 2.5},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

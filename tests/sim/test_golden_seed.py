@@ -11,7 +11,11 @@ Two guarantees are pinned here:
   ``PYTHONHASHSEED``, and historically leaked into set iteration order
   inside the engine), and the engine walks its active set in insertion
   order.  The ``engine`` goldens below therefore hold in *any* Python
-  process, not just one with a lucky hash seed.
+  process, not just one with a lucky hash seed — and on both kernels:
+  the compat kernel ``run_dissemination`` picks for these runs, and
+  the scalar reference behind it.  Each test walks both paths (rather
+  than being parametrized) so its id stays the one the pins were
+  recorded under.
 """
 
 from repro.addressing import AddressSpace
@@ -22,10 +26,21 @@ from repro.sim.group import PmcastGroup
 from repro.sim.rng import derive_rng
 from repro.sim.runtime import GroupRuntime
 from repro.sim.workload import bernoulli_interests, random_subscriptions
+from tests.sim.reference import scalar_dissemination
 
 
 class TestEngineGolden:
+    PATHS = (run_dissemination, scalar_dissemination)
+
     def test_lossy_bernoulli_run(self):
+        for run in self.PATHS:
+            self._lossy_bernoulli_run(run)
+
+    def test_subscription_run(self):
+        for run in self.PATHS:
+            self._subscription_run(run)
+
+    def _lossy_bernoulli_run(self, run):
         space = AddressSpace.regular(4, 3)
         addresses = space.enumerate_regular(4)
         members = bernoulli_interests(
@@ -33,7 +48,7 @@ class TestEngineGolden:
         )
         group = PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=2))
         event = Event({"golden": 1}, event_id=42)
-        report = run_dissemination(
+        report = run(
             group,
             addresses[0],
             event,
@@ -59,13 +74,13 @@ class TestEngineGolden:
             "2.0.0", "2.0.3", "2.3.0", "3.0.1", "3.3.2", "3.3.3",
         ]
 
-    def test_subscription_run(self):
+    def _subscription_run(self, run):
         space = AddressSpace.regular(3, 3)
         addresses = space.enumerate_regular(3)
         members = random_subscriptions(addresses, derive_rng(7, "golden-subs"))
         group = PmcastGroup.build(members, PmcastConfig(fanout=2, redundancy=2))
         event = Event({"b": 3, "c": 26.0, "z": 500}, event_id=43)
-        report = run_dissemination(
+        report = run(
             group, addresses[4], event, SimConfig(seed=7)
         )
         assert report.interested == 3

@@ -3,11 +3,14 @@
 Two kernels live in :mod:`repro.sim.vector`:
 
 * the **compat kernel** (``try_run_vectorized``) replays the scalar
-  engine's RNG draws position-for-position, so an eligible run under
-  ``SimConfig(vectorized=True)`` must be *bit-identical* to the scalar
-  loop — same report, same per-node outcome.  The suite sweeps the
-  protocol switch matrix (loss, crashes, §5.3 tuning, §6 leaf flood,
-  §3.2 shortcut) and checks both.
+  engine's RNG draws position-for-position.  ``run_dissemination``
+  takes it for every eligible run, so its result must be
+  *bit-identical* to the scalar reference reached through the strategy
+  seam (:func:`tests.sim.reference.scalar_dissemination`) — same
+  report, same per-node outcome, same trace.  The suite sweeps every
+  ``PmcastConfig`` switch (loss, crashes, §5.3 tuning, §6 leaf flood,
+  §3.2 shortcut, loss-aware bounds, Pittel's ``c``) and checks all
+  three.
 * the **regular-tree kernel** (``RegularTreeSpec``/``run_shard_wave``)
   has its own per-``(shard, round)`` seed contract; its transition
   invariants are property-tested here (the statistical validation
@@ -28,7 +31,6 @@ from hypothesis import strategies as st
 
 from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
-from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.interests.events import Event
 from repro.sim import (
@@ -42,6 +44,7 @@ from repro.sim import (
     run_shard_wave,
 )
 from repro.sim.vector import sample_positions
+from tests.sim.reference import scalar_dissemination
 
 
 class TestSamplePositions:
@@ -74,16 +77,17 @@ def _build_group(config, seed=11, arity=4, depth=3):
 
 
 def _run_pair(config, sim_kwargs, seed=11, arity=4, depth=3, faults=None):
-    """The same dissemination, scalar then vectorized, on fresh groups."""
+    """The same dissemination, scalar reference then engine, on fresh
+    groups."""
     event = Event({"golden": 1}, event_id=42)
     outcomes = []
-    for vectorized in (False, True):
+    for run in (scalar_dissemination, run_dissemination):
         group, addresses = _build_group(config, seed, arity, depth)
-        report = run_dissemination(
+        report = run(
             group,
             addresses[0],
             event,
-            SimConfig(seed=seed, vectorized=vectorized, **sim_kwargs),
+            SimConfig(seed=seed, **sim_kwargs),
             faults=faults,
         )
         nodes = {
@@ -117,6 +121,11 @@ MATRIX = [
     ("min_rounds", PmcastConfig(fanout=3, redundancy=3,
                                 min_rounds_per_depth=2),
      {"loss_probability": 0.1, "crash_fraction": 0.02}),
+    ("loss_aware", PmcastConfig(fanout=2, redundancy=2,
+                                loss_aware_rounds=True, assumed_loss=0.1,
+                                assumed_crash=0.05),
+     {"loss_probability": 0.1}),
+    ("pittel_c", PmcastConfig(fanout=2, redundancy=2, pittel_c=1.5), {}),
 ]
 
 
@@ -148,16 +157,14 @@ class TestCompatBitIdentity:
 
     def test_faulted_run_falls_back_and_stays_equal(self):
         # A fault plan disables the fast path (the injector owns the
-        # transmit step); vectorized=True must still reproduce the
-        # scalar faulted run exactly because the dispatch declines
-        # before touching any RNG stream.  The decline is loud: one
-        # RuntimeWarning naming the reason.
+        # transmit step); the engine must still reproduce the scalar
+        # faulted run exactly because the dispatch declines before
+        # touching any RNG stream.
         config = PmcastConfig(fanout=2, redundancy=2)
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
-        with pytest.warns(RuntimeWarning, match="faults"):
-            scalar, vector = _run_pair(
-                config, {"loss_probability": 0.05}, faults=plan
-            )
+        scalar, vector = _run_pair(
+            config, {"loss_probability": 0.05}, faults=plan
+        )
         assert vector[0] == scalar[0]
         assert vector[1] == scalar[1]
 
@@ -167,34 +174,22 @@ class TestCompatBitIdentity:
         config = PmcastConfig(fanout=2, redundancy=2)
         event = Event({"golden": 1}, event_id=42)
         reports = []
-        for vectorized in (False, True):
+        for run in (scalar_dissemination, run_dissemination):
             group, addresses = _build_group(config)
             network = LossyNetwork(0.0, derive_rng(11, "network", 42))
             network.block(
                 lambda sender, dest: (sender, dest)
                 == (addresses[1], addresses[2])
             )
-            if vectorized:
-                with pytest.warns(RuntimeWarning, match="link_rules"):
-                    reports.append(
-                        run_dissemination(
-                            group,
-                            addresses[0],
-                            event,
-                            SimConfig(seed=11, vectorized=vectorized),
-                            network=network,
-                        )
-                    )
-            else:
-                reports.append(
-                    run_dissemination(
-                        group,
-                        addresses[0],
-                        event,
-                        SimConfig(seed=11, vectorized=vectorized),
-                        network=network,
-                    )
+            reports.append(
+                run(
+                    group,
+                    addresses[0],
+                    event,
+                    SimConfig(seed=11),
+                    network=network,
                 )
+            )
         assert reports[0] == reports[1]
 
     def test_hash_seed_independent(self):
@@ -218,7 +213,7 @@ class TestCompatBitIdentity:
             )
             report = run_dissemination(
                 group, addresses[0], Event({"golden": 1}, event_id=42),
-                SimConfig(seed=11, loss_probability=0.05, vectorized=True),
+                SimConfig(seed=11, loss_probability=0.05),
             )
             print(report)
             """
@@ -236,7 +231,8 @@ class TestCompatBitIdentity:
 
 
 class TestFallbackObservability:
-    """Silent fallback is banned: counter + reason label + warning."""
+    """Silent fallback is banned: every scalar run is counted, with its
+    reason as a label."""
 
     def _run(self, registry, faults=None, network=None, **sim_kwargs):
         from repro.obs import Observer
@@ -247,7 +243,7 @@ class TestFallbackObservability:
             group,
             addresses[0],
             Event({"golden": 1}, event_id=42),
-            SimConfig(seed=11, vectorized=True, **sim_kwargs),
+            SimConfig(seed=11, **sim_kwargs),
             faults=faults,
             network=network,
             observer=Observer(registry=registry),
@@ -267,8 +263,7 @@ class TestFallbackObservability:
 
         registry = MetricsRegistry()
         plan = FaultPlan(name="burst").with_loss_burst(2, 4, 0.5)
-        with pytest.warns(RuntimeWarning, match="faults"):
-            self._run(registry, faults=plan)
+        self._run(registry, faults=plan)
         assert registry.counter("sim", "vector_fallback").value == 1
         assert (
             registry.counter("sim", "vector_fallback_faults").value == 1
@@ -285,8 +280,7 @@ class TestFallbackObservability:
         registry = MetricsRegistry()
         network = LossyNetwork(0.0, derive_rng(11, "network", 42))
         network.block(lambda sender, dest: False)
-        with pytest.warns(RuntimeWarning, match="link_rules"):
-            self._run(registry, network=network)
+        self._run(registry, network=network)
         assert (
             registry.counter("sim", "vector_fallback_link_rules").value
             == 1
@@ -302,11 +296,12 @@ class TestTracedBitIdentity:
 
         group, addresses = _build_group(config)
         trace = TraceLog()
-        report = run_dissemination(
+        run = run_dissemination if vectorized else scalar_dissemination
+        report = run(
             group,
             addresses[0],
             Event({"golden": 1}, event_id=42),
-            SimConfig(seed=11, vectorized=vectorized, **sim_kwargs),
+            SimConfig(seed=11, **sim_kwargs),
             trace=trace,
             sampler=TraceSampler(rate) if rate is not None else None,
         )
@@ -479,14 +474,3 @@ class TestShardWaveInvariants:
         total = sum(int(state.received.sum()) for state in states.values())
         assert 1 <= total <= spec.size
 
-
-class TestVectorizedConfigFlag:
-    def test_default_off(self):
-        assert SimConfig().vectorized is False
-
-    def test_flag_round_trips(self):
-        assert SimConfig(vectorized=True).vectorized is True
-
-    def test_invalid_loss_still_rejected(self):
-        with pytest.raises(ConfigError):
-            SimConfig(loss_probability=1.5, vectorized=True)
