@@ -240,6 +240,32 @@ def bench_faulted_round_loop(
     }
 
 
+def _scalar_pmcast(group, publisher, event, sim_config, schedule=None):
+    """The scalar reference of one eligible pmcast run.
+
+    The calls the dispatch makes when it falls back (``setup_run`` →
+    ``GossipContext`` → ``PmcastVariant`` → ``run_variant``); with a
+    ``schedule``, the driver's event loop.
+    """
+    from repro.core.context import GossipContext
+    from repro.variants.base import run_variant, setup_run
+    from repro.variants.pmcast import PmcastVariant
+
+    gossip_rng, network, crash_schedule, __ = setup_run(
+        sim_config,
+        event.event_id,
+        "",
+        sim_config.max_rounds,
+        group.addresses,
+        lambda: group.tree,
+    )
+    ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
+    variant = PmcastVariant(group, publisher, event, ctx, sim_config)
+    return run_variant(
+        variant, sim_config, network, crash_schedule, schedule=schedule
+    )
+
+
 def bench_engine(
     arity: int, depth: int, seed: int
 ) -> Dict[str, Any]:
@@ -247,8 +273,14 @@ def bench_engine(
 
     ``vector_fallbacks`` counts the runs ``run_dissemination`` sent to
     the scalar loop instead of the compat kernel; this dissemination is
-    eligible, so CI asserts 0.
+    eligible, so CI asserts 0.  The ``event_*`` keys time a lossy
+    dissemination through ``run_sim_dissemination`` under a
+    half-period :class:`~repro.net.scheduler.JitteredSchedule`: it is
+    eligible too (``event_vector_fallbacks`` must be 0), and its
+    outcome must equal the scalar event loop's
+    (``event_digest_identical``).
     """
+    from repro.net import JitteredSchedule, run_sim_dissemination
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
 
@@ -273,12 +305,42 @@ def bench_engine(
         observer=Observer(registry=registry),
     )
     seconds = time.perf_counter() - started
+
+    sim_config = SimConfig(seed=seed, loss_probability=0.05)
+    schedule = JitteredSchedule(
+        0.5, seed=seed, period_us=config.period_ms * 1000
+    )
+    event_registry = MetricsRegistry()
+    group = PmcastGroup.build(members, config)
+    started = time.perf_counter()
+    event_report = run_sim_dissemination(
+        group,
+        addresses[0],
+        event,
+        sim_config,
+        schedule=schedule,
+        observer=Observer(registry=event_registry),
+    )
+    event_seconds = time.perf_counter() - started
+    scalar_event_report = _scalar_pmcast(
+        PmcastGroup.build(members, config),
+        addresses[0],
+        event,
+        sim_config,
+        schedule=schedule,
+    )
     return {
         "members": len(addresses),
         "build_seconds": round(build_seconds, 4),
         "seconds": round(seconds, 4),
         "rounds": report.rounds,
         "vector_fallbacks": registry.counter("sim", "vector_fallback").value,
+        "event_seconds": round(event_seconds, 4),
+        "event_vector_fallbacks": event_registry.counter(
+            "sim", "vector_fallback"
+        ).value,
+        "event_digest_identical": _report_digest(event_report)
+        == _report_digest(scalar_event_report),
         "delivered_interested": report.delivered_interested,
         "received_uninterested": report.received_uninterested,
         "messages_sent": report.messages_sent,
@@ -574,12 +636,9 @@ def bench_scale_loop(
     estimate against the run's own report — the end-to-end proof that
     sampled observability works at 10⁶ members.
     """
-    from repro.core.context import GossipContext
     from repro.par.subtree import build_regular_spec, run_sharded_dissemination
     from repro.sim.engine import run_dissemination
     from repro.sim.group import PmcastGroup
-    from repro.variants.base import run_variant, setup_run
-    from repro.variants.pmcast import PmcastVariant
 
     space = AddressSpace.regular(arity, depth)
     addresses = space.enumerate_regular(arity)
@@ -591,26 +650,15 @@ def bench_scale_loop(
 
     sim_config = SimConfig(seed=seed)
 
-    def scalar_reference(group):
-        gossip_rng, network, crash_schedule, __ = setup_run(
-            sim_config,
-            event.event_id,
-            "",
-            sim_config.max_rounds,
-            group.addresses,
-            lambda: group.tree,
-        )
-        ctx = GossipContext(gossip_rng, threshold_h=config.threshold_h)
-        variant = PmcastVariant(group, addresses[0], event, ctx, sim_config)
-        return run_variant(variant, sim_config, network, crash_schedule)
-
     def timed(run):
         group = PmcastGroup.build(members, config)
         started = time.perf_counter()
         report = run(group)
         return time.perf_counter() - started, report
 
-    scalar_seconds, scalar_report = timed(scalar_reference)
+    scalar_seconds, scalar_report = timed(
+        lambda group: _scalar_pmcast(group, addresses[0], event, sim_config)
+    )
     vector_seconds, vector_report = timed(
         lambda group: run_dissemination(
             group, addresses[0], event, sim_config

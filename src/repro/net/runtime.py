@@ -10,9 +10,12 @@ that special case **bit-identical** to the engine:
 * same RNG streams, built by the engine's own setup
   (:func:`repro.variants.base.setup_run`, labels
   ``gossip``/``network``/``crash``/``faults``);
-* the same driver: :func:`repro.variants.base.run_variant` given a
-  :class:`~repro.net.scheduler.Schedule` runs its event loop, sharing
-  the round loop's trace preamble, crash step and finale;
+* the same dispatch: :func:`repro.sim.engine.run_pmcast` runs an
+  eligible run on the compat kernel's event driver
+  (:mod:`repro.sim.vector`) and any other on
+  :func:`repro.variants.base.run_variant` given a
+  :class:`~repro.net.scheduler.Schedule`; both share the round loop's
+  trace preamble, crash step and finale;
 * timers pop in the engine's active-set insertion order (the clock's
   FIFO tie-break over re-armed and newly armed timers reproduces
   insertion-ordered dict semantics — docs/NETWORK.md walks the proof);
@@ -22,7 +25,9 @@ that special case **bit-identical** to the engine:
   happen in the engine's order;
 * the protocol logic itself is the untouched
   :class:`~repro.variants.pmcast.PmcastVariant` hooks — ``begin`` /
-  ``crash`` / ``fan_out_one`` / ``receive`` / ``finalize``.
+  ``crash`` / ``fan_out_one`` / ``receive`` / ``finalize`` — or, on
+  the compat kernel, the same firing and reception bodies the round
+  loop runs, over member indices.
 
 ``run_sim_dissemination(...)`` with the default zero-jitter
 :class:`~repro.net.scheduler.RoundSchedule` therefore returns the same
@@ -41,19 +46,17 @@ from typing import Optional
 
 from repro.addressing import Address
 from repro.config import SimConfig
-from repro.core.context import GossipContext
-from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.interests.events import Event
 from repro.net.scheduler import RoundSchedule, Schedule
+from repro.obs.probes import Observer
 from repro.obs.sampling import TraceSampler
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
+from repro.sim.engine import run_pmcast
 from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
-from repro.variants.base import run_variant, setup_run
-from repro.variants.pmcast import PmcastVariant
 
 __all__ = ["run_sim_dissemination"]
 
@@ -71,14 +74,19 @@ def run_sim_dissemination(
     sampler: Optional[TraceSampler] = None,
     latency_us: Optional[int] = None,
     event_records: bool = False,
+    observer: Optional[Observer] = None,
 ) -> DisseminationReport:
     """Multicast one event through the group, event by event.
 
     The mirror of :func:`repro.sim.engine.run_dissemination` with the
     round loop replaced by a discrete-event loop: round boundaries,
-    timer fires and transport flushes are events on a
-    :class:`~repro.net.clock.VirtualClock`, ordered ``(time, priority,
-    seq)``.
+    timer fires and transport flushes are events on a virtual clock,
+    ordered ``(time, priority, seq)``.  Both go through one dispatch
+    (:func:`repro.sim.engine.run_pmcast`): an eligible run — no fault
+    plan, no link rules, a group the compat kernel can flatten — takes
+    the compat kernel's event driver (:mod:`repro.sim.vector`), any
+    other the scalar ``PmcastVariant`` on
+    :func:`repro.variants.base.run_variant`, bit-identically.
 
     Args:
         schedule: when each process's timer fires; default is the
@@ -90,44 +98,27 @@ def run_sim_dissemination(
             (ordered by ``time_us``) into ``trace``.  Off by default
             because extra records would break byte-identity with the
             engine's golden traces.
+        observer: optional :class:`~repro.obs.probes.Observer`, as in
+            ``run_dissemination``: its registry receives the kernel's
+            ``vector.*`` counters or the ``sim.vector_fallback*``
+            counters, and its sampler is the default ``sampler``.  The
+            event loop records no timeline spans.
 
     ``sim_config``, ``crash_schedule``, ``network``, ``trace``,
-    ``faults`` and ``sampler`` are as in ``run_dissemination``; there
-    is no ``observer`` or ``timeline`` here.
+    ``faults`` and ``sampler`` are as in ``run_dissemination``.
 
     Returns:
         the run's :class:`~repro.sim.metrics.DisseminationReport`.
 
     Raises:
-        NetError: ``latency_us`` outside ``(0, period)``.
+        SimulationError: the publisher has crashed.
+        NetError: ``latency_us`` outside ``(0, period)`` (checked after
+            the publisher).
     """
-    sim_config = sim_config or SimConfig()
     if schedule is None:
         schedule = RoundSchedule(period_us=group.config.period_ms * 1000)
-    gossip_rng, network, crash_schedule, injector = setup_run(
-        sim_config,
-        event.event_id,
-        "",
-        sim_config.max_rounds,
-        group.addresses,
-        lambda: group.tree,
-        trace=trace,
-        network=network,
-        crash_schedule=crash_schedule,
-        faults=faults,
-    )
-    ctx = GossipContext(gossip_rng, threshold_h=group.config.threshold_h)
-    if not group.node(publisher).alive:
-        raise SimulationError(f"publisher {publisher} has crashed")
-    return run_variant(
-        PmcastVariant(group, publisher, event, ctx, sim_config),
-        sim_config,
-        network,
-        crash_schedule,
-        trace=trace,
-        sampler=sampler,
-        injector=injector,
-        schedule=schedule,
-        latency_us=latency_us,
-        event_records=event_records,
+    return run_pmcast(
+        group, publisher, event, sim_config, crash_schedule, network,
+        trace, faults, sampler, observer, schedule=schedule,
+        latency_us=latency_us, event_records=event_records,
     )

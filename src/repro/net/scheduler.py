@@ -29,7 +29,6 @@ i.e. in round ``k`` of the engine's calendar (round ``r`` spans
 from __future__ import annotations
 
 import hashlib
-import math
 from abc import ABC, abstractmethod
 from typing import Tuple
 
@@ -52,7 +51,7 @@ _SCALE = 2 ** 64
 
 def _unit_hash(*parts: object) -> float:
     """A deterministic uniform draw in [0, 1) keyed by ``parts``."""
-    key = "|".join(str(part) for part in parts).encode("utf-8")
+    key = "|".join(map(str, parts)).encode("utf-8")
     word = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     return word / _SCALE
 
@@ -102,16 +101,19 @@ class Schedule(ABC):
 
         Used by the event runtime to (re)arm a process's timer: on
         activation at time t, the process fires next at the first
-        scheduled instant past t.
+        scheduled instant past t.  Each candidate fire is evaluated
+        once.
         """
         stride = self.period_multiplier(key) * self.period_us
-        # Offsets are bounded, so the first candidate index is at most
-        # max_offset worth of fires before the nominal crossing.
-        start = max(1, (after_us - self.max_offset_us) // stride)
-        fire_index = start
-        while self.fire_time_us(key, fire_index) <= after_us:
+        # Offsets are bounded by max_offset, so an index k with
+        # k * stride <= after - max_offset fires at or before after_us:
+        # the first candidate is the index just past that crossing.
+        fire_index = max(1, (after_us - self.max_offset_us) // stride + 1)
+        while True:
+            when = fire_index * stride + self.offset_us(key, fire_index)
+            if when > after_us:
+                return fire_index, when
             fire_index += 1
-        return fire_index, self.fire_time_us(key, fire_index)
 
     def fires_in_round(self, key: str, round_index: int) -> int:
         """How many fires land in round ``round_index`` (1-based).
@@ -163,10 +165,13 @@ class JitteredSchedule(Schedule):
     """Uniform per-fire jitter of up to ``jitter`` periods.
 
     ``jitter`` is expressed in periods (0.25 = up to a quarter-period
-    late).  Each ``(seed, key, fire_index)`` gets an independent
-    SHA-256 uniform draw, so the same seed replays the same jitter on
-    any machine.  ``jitter=0`` degenerates to :class:`RoundSchedule` —
-    the equivalence the property suite pins.
+    late) and lies in ``[0, 1]``: offsets stay below one period, so a
+    process's fire times increase with the fire index and
+    :meth:`next_fire` walks every fire, in order.  Each ``(seed, key,
+    fire_index)`` gets an independent SHA-256 uniform draw, so the same
+    seed replays the same jitter on any machine.  ``jitter=0``
+    degenerates to :class:`RoundSchedule` — the equivalence the
+    property suite pins.
     """
 
     def __init__(
@@ -176,8 +181,11 @@ class JitteredSchedule(Schedule):
         period_us: int = DEFAULT_PERIOD_US,
     ):
         super().__init__(period_us)
-        if not (math.isfinite(jitter) and jitter >= 0):
-            raise NetError(f"jitter {jitter} must be finite and >= 0")
+        if not 0 <= jitter <= 1:
+            # A jitter above one period lets fire k+1 land before fire
+            # k, and the event loop's re-arming would skip fires that
+            # fires_in_round counts; NaN fails this comparison too.
+            raise NetError(f"jitter {jitter} not in [0, 1]")
         self.jitter = float(jitter)
         self.seed = int(seed)
         self._max_offset = int(self.jitter * self.period_us)

@@ -14,7 +14,7 @@ collection emptied all buffers) or at the ``max_rounds`` safety cap.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.addressing import Address
 from repro.config import SimConfig
@@ -32,10 +32,13 @@ from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.vector import try_run_vectorized
-from repro.variants.base import run_variant, setup_run
+from repro.variants.base import resolve_latency, run_variant, setup_run
 from repro.variants.pmcast import PmcastVariant
 
-__all__ = ["run_dissemination"]
+if TYPE_CHECKING:
+    from repro.net.scheduler import Schedule
+
+__all__ = ["run_dissemination", "run_pmcast"]
 
 
 def run_dissemination(
@@ -96,12 +99,48 @@ def run_dissemination(
     Returns:
         the :class:`~repro.sim.metrics.DisseminationReport` of the run.
     """
+    if observer is not None and timeline is None:
+        timeline = observer.timeline
+    return run_pmcast(
+        group, publisher, event, sim_config, crash_schedule, network,
+        trace, faults, sampler, observer, timeline=timeline,
+    )
+
+
+def run_pmcast(
+    group: PmcastGroup,
+    publisher: Address,
+    event: Event,
+    sim_config: Optional[SimConfig],
+    crash_schedule: Optional[CrashSchedule],
+    network: Optional[LossyNetwork],
+    trace: Optional[TraceLog],
+    faults: Optional[FaultPlan],
+    sampler: Optional[TraceSampler],
+    observer: Optional[Observer],
+    timeline: Optional[TimelineRecorder] = None,
+    schedule: Optional[Schedule] = None,
+    latency_us: Optional[int] = None,
+    event_records: bool = False,
+) -> DisseminationReport:
+    """One pmcast run on the kernel its inputs allow.
+
+    The shared body of :func:`run_dissemination` (round loop,
+    ``schedule=None``) and :func:`repro.net.run_sim_dissemination`
+    (event loop over ``schedule``).  Builds the run's collaborators
+    (:func:`~repro.variants.base.setup_run`), rejects a crashed
+    publisher (``SimulationError``) and then a latency outside the
+    period (``NetError``), and only then picks the kernel: an eligible
+    run takes the compat kernel (:mod:`repro.sim.vector`), anything
+    else the scalar ``PmcastVariant`` on
+    :func:`~repro.variants.base.run_variant`, counted in
+    ``sim.vector_fallback`` and ``sim.vector_fallback_<reason>``.
+    ``observer`` supplies the registry and, when ``sampler`` is
+    omitted, the sampler.
+    """
     sim_config = sim_config or SimConfig()
-    if observer is not None:
-        if sampler is None:
-            sampler = observer.sampler
-        if timeline is None:
-            timeline = observer.timeline
+    if observer is not None and sampler is None:
+        sampler = observer.sampler
     registry = observer.registry if observer is not None else NULL_REGISTRY
     gossip_rng, network, crash_schedule, injector = setup_run(
         sim_config,
@@ -119,14 +158,15 @@ def run_dissemination(
     variant = PmcastVariant(group, publisher, event, ctx, sim_config)
     if not variant.origin.alive:
         raise SimulationError(f"publisher {publisher} has crashed")
+    if schedule is not None:
+        latency_us = resolve_latency(schedule, latency_us)
 
-    # The kernel is picked from the inputs.  Every eligible run takes
-    # the compat kernel (repro.sim.vector): it consumes the same RNG
-    # streams in the same order and emits the same trace records, so it
-    # is bit-identical to the scalar loop.  Fault plans and link rules
-    # own the transmit step, and the kernel declines groups it cannot
-    # flatten (returning None with every stream untouched); those runs
-    # take the pmcast strategy on the shared round driver
+    # Every eligible run takes the compat kernel: it consumes the same
+    # RNG streams in the same order and emits the same trace records,
+    # so it is bit-identical to the scalar driver.  Fault plans and
+    # link rules own the transmit step, and the kernel declines groups
+    # it cannot flatten (returning None with every stream untouched);
+    # those runs take the pmcast strategy on the shared driver
     # (repro.variants.base), which is the conformance reference.
     if injector is not None:
         reason = "faults"
@@ -142,6 +182,9 @@ def run_dissemination(
             sampler=sampler,
             registry=registry,
             timeline=timeline,
+            schedule=schedule,
+            latency_us=latency_us,
+            event_records=event_records,
         )
         if report is not None:
             return report
@@ -157,4 +200,7 @@ def run_dissemination(
         sampler=sampler,
         injector=injector,
         timeline=timeline,
+        schedule=schedule,
+        latency_us=latency_us,
+        event_records=event_records,
     )

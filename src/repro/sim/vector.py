@@ -2,21 +2,26 @@
 
 Two kernels live here, with different contracts:
 
-**Compat kernel** (:func:`try_run_vectorized`) — the pmcast round loop
-(:class:`~repro.variants.pmcast.PmcastVariant` on the shared driver)
-flattened onto dense integer indices instead of the per-member object
-model.  It consumes the *same* ``random.Random`` streams in the *same*
-order as the scalar loop (destination draws via a position-level mirror
-of CPython's ``random.sample``, loss draws via
+**Compat kernel** (:func:`try_run_vectorized`) — the pmcast driver
+(:class:`~repro.variants.pmcast.PmcastVariant` on
+:func:`~repro.variants.base.run_variant`) flattened onto dense integer
+indices instead of the per-member object model.  One *fire* body (a
+process's Figure 3 firing) and one *receive* body (one transmitted
+batch) run under two drivers: the engine's round loop, and the
+virtual-clock event loop of a :class:`~repro.net.scheduler.Schedule`
+run.  It consumes the *same* ``random.Random`` streams in the *same*
+order as the scalar driver (destination draws via a position-level
+mirror of CPython's ``random.sample``, loss draws via
 :meth:`~repro.sim.network.LossyNetwork.transmit_flags`) and emits the
 same ``repro.obs.trace/v1`` records in the same order (through the same
 optional :class:`~repro.obs.sampling.TraceSampler`); everything outside
 the hot loop — the line-7 round bound, the §3.2 shortcut, the trace
-metadata and the report — is the scalar code itself, so an eligible
-run is bit-identical.  :func:`repro.sim.engine.run_dissemination` picks
+preamble and the report — is the scalar code itself, so an eligible
+run is bit-identical.  :func:`repro.sim.engine.run_pmcast`, behind both
+``run_dissemination`` and ``repro.net.run_sim_dissemination``, picks
 it for every run it can express; the rest (fault plans, link rules,
-non-idle nodes, irregular address depths) take the scalar loop, and
-the engine counts each such fallback.
+non-idle nodes, irregular address depths) take the scalar driver, and
+each such fallback is counted.
 
 **Regular-tree kernel** (:class:`RegularTreeSpec` /
 :func:`run_shard_wave`) — a fully vectorized numpy round step for the
@@ -42,9 +47,11 @@ iterates arrays or insertion-ordered lists.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +61,7 @@ from repro.core.rounds import view_round_bound
 from repro.errors import ProtocolError, SimulationError
 from repro.interests.events import Event
 from repro.obs.registry import MetricsRegistry, registry_or_null
-from repro.obs.sampling import SampledTrace, TraceSampler, keep, keep_mask
+from repro.obs.sampling import TraceSampler, keep, keep_mask
 from repro.obs.timeline import NULL_SPAN, TimelineRecorder
 from repro.obs.trace import TraceLog
 from repro.sim.crashes import CrashSchedule
@@ -62,7 +69,11 @@ from repro.sim.group import PmcastGroup
 from repro.sim.metrics import DisseminationReport
 from repro.sim.network import LossyNetwork
 from repro.sim.rng import derive_seed
+from repro.variants.base import Emit, open_trace
 from repro.variants.pmcast import PmcastVariant, assemble_pmcast_report
+
+if TYPE_CHECKING:
+    from repro.net.scheduler import Schedule
 
 __all__ = [
     "VectorUnsupported",
@@ -250,6 +261,456 @@ def _build_compat_spec(
     return spec
 
 
+#: One compat-kernel envelope: ``(dest, depth, entry_round, entry_rate,
+#: sender)``, member indices for dest and sender.
+_Envelope = Tuple[int, int, int, float, int]
+
+
+class _CompatRun:
+    """One compat-kernel run: the struct-of-arrays state and the bodies
+    both drivers share.
+
+    :meth:`fire` is one process's GOSSIP firing and :meth:`receive` one
+    transmitted batch; the round driver calls them per round, the event
+    driver per timer and per flush.  Either way every destination draw
+    goes through the one :func:`sample_positions` call and every loss
+    draw through the one ``transmit_flags`` call, in the scalar loop's
+    order.
+    """
+
+    __slots__ = (
+        "variant", "network", "crash_schedule", "emit", "addresses",
+        "index_of", "components", "node_matches", "tree_depth", "config",
+        "fanout", "flood_threshold", "randbelow", "event_id", "publisher",
+        "alive", "received", "delivered", "own_match", "buf_depth",
+        "buf_round", "buf_rate", "sent_count", "recv_count", "in_active",
+        "active_count", "infected", "infected_count", "infection_curve",
+        "messages_by_distance", "meters",
+    )
+
+    def __init__(
+        self,
+        variant: PmcastVariant,
+        spec: _CompatSpec,
+        network: LossyNetwork,
+        crash_schedule: CrashSchedule,
+        registry: MetricsRegistry,
+    ) -> None:
+        event = variant.event
+        ctx = variant.ctx
+        config = variant.group.config
+        pub = spec.index_of[variant.publisher]
+        # PMCAST bootstrap (Figure 3 lines 24-25).
+        if spec.received[pub]:
+            raise ProtocolError(f"event {event.event_id} already published")
+        self.variant = variant
+        self.network = network
+        self.crash_schedule = crash_schedule
+        self.emit: Optional[Emit] = None
+        self.addresses = spec.addresses
+        self.index_of = spec.index_of
+        self.components = spec.components
+        self.node_matches = spec.node_matches
+        self.tree_depth = spec.tree_depth
+        self.config = config
+        self.fanout = config.fanout
+        self.flood_threshold = config.leaf_flood_threshold
+        self.randbelow = ctx.rng._randbelow
+        self.event_id = event.event_id
+        self.publisher = pub
+        self.alive = spec.alive
+        self.received = spec.received
+        self.delivered = spec.delivered
+        self.own_match = spec.own_match
+        n = len(spec.addresses)
+        self.received[pub] = True
+        if self.own_match[pub]:
+            self.delivered[pub] = True
+        publish_depth = (
+            variant.origin._shortcut_depth(event, ctx)
+            if config.local_interest_shortcut
+            else 1
+        )
+        self.buf_depth = [0] * n
+        self.buf_round = [0] * n
+        self.buf_rate = [0.0] * n
+        self.buf_depth[pub] = publish_depth
+        self.buf_rate[pub] = spec.node_matches[pub][publish_depth - 1].rate
+        self.sent_count = [0] * n
+        self.recv_count = [0] * n
+        self.in_active = [False] * n
+        self.in_active[pub] = True
+        self.active_count = 1
+        self.infected = [False] * n
+        self.infected[pub] = True
+        self.infected_count = 1
+        self.infection_curve: List[int] = []
+        self.messages_by_distance = [0] * spec.tree_depth
+        self.meters = None
+        if registry.enabled:
+            self.meters = (
+                registry.counter("vector", "rounds"),
+                registry.counter("vector", "envelopes"),
+                registry.counter("vector", "losses"),
+                registry.gauge("vector", "infected"),
+            )
+
+    def begin(self, emit: Optional[Emit]) -> None:
+        """Attach the trace emitter and record the publish (round 0)."""
+        self.emit = emit
+        if emit is not None:
+            publisher = self.addresses[self.publisher]
+            emit(0, "publish", publisher, event_id=self.event_id)
+            if self.delivered[self.publisher]:
+                emit(0, "deliver", publisher, event_id=self.event_id)
+
+    def crash(self, round_index: int) -> None:
+        """The crash step at the top of round ``round_index``."""
+        emit = self.emit
+        alive = self.alive
+        in_active = self.in_active
+        for victim in self.crash_schedule.crashes_at(round_index):
+            vi = self.index_of.get(victim)
+            if vi is None:
+                raise SimulationError(f"{victim} is not in the group")
+            if not alive[vi]:
+                continue
+            alive[vi] = False
+            if in_active[vi]:
+                in_active[vi] = False
+                self.active_count -= 1
+            if emit is not None:
+                emit(round_index + 1, "crash", victim)
+
+    def fire(self, i: int, out: List[_Envelope]) -> bool:
+        """Process ``i``'s GOSSIP firing (Figure 3 lines 4-18) into ``out``.
+
+        Depths ascend with same-firing demotion cascades; a §6 leaf
+        flood sends to every interested leaf peer without advancing the
+        round and retires the entry.  Every envelope is counted by
+        distance before loss (§2.2).  Returns whether ``i`` still holds
+        a buffered entry; a retired process leaves the active set.
+        """
+        tree_depth = self.tree_depth
+        depth = self.buf_depth[i]
+        entry_round = self.buf_round[i]
+        entry_rate = self.buf_rate[i]
+        matches_i = self.node_matches[i]
+        start = len(out)
+        while True:
+            flat = matches_i[depth - 1]
+            if depth == tree_depth and flat.rate >= self.flood_threshold:
+                # §6 leaf flood: round NOT incremented, retire.
+                for target in flat.flood_targets:
+                    if target != i:
+                        out.append((target, depth, entry_round, entry_rate, i))
+                depth = 0
+                break
+            bound = flat.bound_for(entry_rate, self.config)
+            if entry_round < bound:
+                entry_round += 1
+                selfpos = flat.pos.get(i, -1)
+                m = flat.entry_count - (1 if selfpos >= 0 else 0)
+                if m > 0:
+                    entries = flat.entries
+                    mask = flat.mask
+                    fanout = self.fanout
+                    count = fanout if fanout < m else m
+                    for j in sample_positions(self.randbelow, m, count):
+                        if selfpos >= 0 and j >= selfpos:
+                            j += 1
+                        if mask[j]:
+                            out.append(
+                                (entries[j], depth, entry_round, entry_rate, i)
+                            )
+                break
+            elif depth < tree_depth:
+                depth += 1
+                entry_round = 0
+                entry_rate = matches_i[depth - 1].rate
+            else:
+                depth = 0
+                break
+        emitted = len(out) - start
+        if emitted:
+            self.sent_count[i] += emitted
+            components = self.components
+            by_distance = self.messages_by_distance
+            sc = components[i]
+            for position in range(start, start + emitted):
+                dc = components[out[position][0]]
+                common = 0
+                while common < tree_depth and sc[common] == dc[common]:
+                    common += 1
+                by_distance[tree_depth - 1 - common] += 1
+        self.buf_depth[i] = depth
+        self.buf_round[i] = entry_round
+        self.buf_rate[i] = entry_rate
+        if depth == 0:
+            self.in_active[i] = False
+            self.active_count -= 1
+            return False
+        return True
+
+    def receive(self, batch: List[_Envelope], rounds: int) -> List[int]:
+        """Transmit one batch and apply its receptions (lines 19-23).
+
+        Draws the batch's loss verdicts, records every envelope's
+        send/loss disposition before any reception (the scalar order),
+        then hands surviving envelopes to live receivers in batch order.
+        Returns the receivers that became active, in batch order.
+        """
+        flags = self.network.transmit_flags(len(batch))
+        emit = self.emit
+        addresses = self.addresses
+        event_id = self.event_id
+        if emit is not None:
+            for position, envelope in enumerate(batch):
+                dest, depth, __, ___, sender = envelope
+                emit(
+                    rounds,
+                    "send" if flags is None or flags[position] else "loss",
+                    addresses[sender],
+                    peer=addresses[dest],
+                    event_id=event_id,
+                    depth=depth,
+                )
+        if flags is not None:
+            batch = [
+                envelope for envelope, kept in zip(batch, flags) if kept
+            ]
+        alive = self.alive
+        received = self.received
+        delivered = self.delivered
+        own_match = self.own_match
+        infected = self.infected
+        in_active = self.in_active
+        recv_count = self.recv_count
+        buf_depth = self.buf_depth
+        buf_round = self.buf_round
+        buf_rate = self.buf_rate
+        infected_count = self.infected_count
+        activated: List[int] = []
+        for dest, depth, entry_round, entry_rate, sender in batch:
+            if not alive[dest]:
+                continue
+            recv_count[dest] += 1
+            if emit is not None:
+                emit(
+                    rounds,
+                    "receive",
+                    addresses[dest],
+                    peer=addresses[sender],
+                    event_id=event_id,
+                    depth=depth,
+                )
+            if received[dest]:
+                if not infected[dest]:
+                    infected[dest] = True
+                    infected_count += 1
+                continue
+            received[dest] = True
+            if own_match[dest]:
+                delivered[dest] = True
+                if emit is not None:
+                    emit(rounds, "deliver", addresses[dest], event_id=event_id)
+            buf_depth[dest] = depth
+            buf_round[dest] = entry_round
+            buf_rate[dest] = entry_rate
+            if not infected[dest]:
+                infected[dest] = True
+                infected_count += 1
+            if not in_active[dest]:
+                in_active[dest] = True
+                activated.append(dest)
+        self.infected_count = infected_count
+        self.active_count += len(activated)
+        if self.meters is not None:
+            __, envelopes, losses, ___ = self.meters
+            envelopes.inc(len(flags) if flags is not None else len(batch))
+            if flags is not None:
+                losses.inc(len(flags) - len(batch))
+        return activated
+
+    def sample(self) -> None:
+        """Close one round: its infection-curve sample."""
+        self.infection_curve.append(self.infected_count)
+        if self.meters is not None:
+            rounds, __, ___, infected = self.meters
+            rounds.inc()
+            infected.set(self.infected_count)
+
+    def finish(self, rounds: int) -> DisseminationReport:
+        """Write the outcome back through the object model and score it.
+
+        Every scalar inspection API (liveness, delivery sets, message
+        counters, leftover buffers) stays truthful after a kernel run,
+        and the report comes from the variant's own arithmetic.
+        """
+        variant = self.variant
+        group = variant.group
+        event = variant.event
+        for i, address in enumerate(self.addresses):
+            buffered = None
+            if self.buf_depth[i] > 0:
+                buffered = (self.buf_depth[i], self.buf_rate[i], self.buf_round[i])
+            group.node(address).restore_outcome(
+                event,
+                alive=self.alive[i],
+                received=self.received[i],
+                delivered=self.delivered[i],
+                sent_delta=self.sent_count[i],
+                receptions_delta=self.recv_count[i],
+                buffered=buffered,
+            )
+        return assemble_pmcast_report(
+            group,
+            variant.publisher,
+            event,
+            variant.interested,
+            self.infected_count,
+            rounds,
+            tuple(self.infection_curve),
+            tuple(self.messages_by_distance),
+            self.network.messages_lost,
+            self.crash_schedule.victim_count,
+            sent_before=variant.sent_before,
+            receptions_before=variant.receptions_before,
+        )
+
+
+def _round_driver(
+    run: _CompatRun, max_rounds: int, timeline: Optional[TimelineRecorder]
+) -> int:
+    """The engine's round loop over the shared bodies; returns rounds.
+
+    Firings go in active-set insertion order (the scalar engine's dict
+    order): survivors keep their place, newly activated receivers
+    append in batch order.
+    """
+    fire = run.fire
+    in_active = run.in_active
+    active_list = [run.publisher]
+    rounds = 0
+    for round_index in range(max_rounds):
+        run.crash(round_index)
+        if run.active_count == 0:
+            break
+        rounds = round_index + 1
+        envelopes: List[_Envelope] = []
+        with (
+            timeline.span("fan_out", "vector", rounds)
+            if timeline is not None
+            else NULL_SPAN
+        ):
+            next_active = [
+                i for i in active_list if in_active[i] and fire(i, envelopes)
+            ]
+        with (
+            timeline.span("exchange", "vector", rounds)
+            if timeline is not None
+            else NULL_SPAN
+        ):
+            next_active.extend(run.receive(envelopes, rounds))
+        active_list = next_active
+        run.sample()
+    return rounds
+
+
+def _event_driver(
+    run: _CompatRun,
+    max_rounds: int,
+    schedule: Schedule,
+    latency_us: int,
+    event_records: bool,
+) -> int:
+    """The virtual-clock event loop over the shared bodies; returns rounds.
+
+    Mirrors :func:`repro.variants.base._event_loop` event for event:
+    boundary, timer and flush entries ordered ``(time_us, priority,
+    seq)``; a timer armed at ``schedule.next_fire`` past the arming
+    instant; one flush batch per send instant at ``now + latency_us``,
+    opened by the instant's first envelope; receivers that became
+    active armed after their batch, in batch order (the scalar loop's
+    seq order).  Timers of crashed or retired processes are skipped on
+    pop without touching any RNG.
+    """
+    # repro.net imports this module while loading (through
+    # repro.net.runtime), so the clock constants load on first use.
+    from repro.net.clock import (
+        PRIORITY_BOUNDARY,
+        PRIORITY_FLUSH,
+        PRIORITY_TIMER,
+    )
+
+    period_us = schedule.period_us
+    next_fire = schedule.next_fire
+    fire = run.fire
+    receive = run.receive
+    in_active = run.in_active
+    addresses = run.addresses
+    keys: List[Optional[str]] = [None] * len(addresses)
+    emit = run.emit if event_records else None
+    event_id = run.event_id
+    heap: List[Tuple[int, int, int, int]] = []
+    seq = itertools.count()
+    #: Flush instant -> the envelopes sent for it, in send order.
+    batches: Dict[int, List[_Envelope]] = {}
+
+    def arm(i: int, now_us: int) -> None:
+        key = keys[i]
+        if key is None:
+            key = keys[i] = str(addresses[i])
+        heappush(
+            heap, (next_fire(key, now_us)[1], PRIORITY_TIMER, next(seq), i)
+        )
+
+    # Boundary r (at (r+1)·P, before that instant's timers) is the top
+    # of round-loop iteration r; its payload is r.
+    heappush(heap, (period_us, PRIORITY_BOUNDARY, next(seq), 0))
+    arm(run.publisher, 0)
+    rounds = 0
+    while heap:
+        now_us, priority, __, item = heappop(heap)
+        if priority == PRIORITY_TIMER:
+            if not in_active[item]:
+                continue
+            if emit is not None:
+                emit(
+                    None, "timer_fire", addresses[item],
+                    event_id=event_id, time_us=now_us,
+                )
+            flush_us = now_us + latency_us
+            batch = batches.get(flush_us)
+            opened = batch is None
+            if opened:
+                batch = []
+            still_active = fire(item, batch)
+            if opened and batch:
+                batches[flush_us] = batch
+                heappush(heap, (flush_us, PRIORITY_FLUSH, next(seq), 0))
+            if still_active:
+                arm(item, now_us)
+        elif priority == PRIORITY_FLUSH:
+            for i in receive(batches.pop(now_us), rounds):
+                arm(i, now_us)
+        else:
+            if item > 0:
+                # The sample of the round that just completed.
+                run.sample()
+            if item >= max_rounds:
+                break
+            run.crash(item)
+            if run.active_count == 0 and not batches:
+                break
+            rounds = item + 1
+            heappush(
+                heap,
+                (now_us + period_us, PRIORITY_BOUNDARY, next(seq), item + 1),
+            )
+    return rounds
+
+
 def try_run_vectorized(
     variant: PmcastVariant,
     sim_config: SimConfig,
@@ -259,310 +720,60 @@ def try_run_vectorized(
     sampler: Optional[TraceSampler] = None,
     registry: Optional[MetricsRegistry] = None,
     timeline: Optional[TimelineRecorder] = None,
+    schedule: Optional[Schedule] = None,
+    latency_us: Optional[int] = None,
+    event_records: bool = False,
 ) -> Optional[DisseminationReport]:
     """Run one dissemination on the compat kernel, or None to fall back.
 
     Executes the freshly built ``variant`` (its group, publisher, event,
     gossip context, ground truth and trace metadata) without ever
-    calling its scalar hooks.  Stream-compatible with the scalar engine:
+    calling its scalar hooks.  Without a ``schedule`` it runs the
+    engine's round loop; with one, the event loop of
+    :func:`repro.variants.base.run_variant` (``latency_us`` already
+    validated by the caller, ``event_records`` adding ``timer_fire``
+    records).  Stream-compatible with the scalar driver either way:
     same gossip/loss draws in the same order, the same trace records in
     the same order (optionally filtered through ``sampler``), and the
     object model (node liveness, delivery sets, message counters,
     leftover buffers) is written back before the run is scored by the
     variant's own report arithmetic, so post-run inspection cannot tell
-    the paths apart.  ``registry`` receives per-round ``vector.*``
-    counters; ``timeline`` receives ``match``/``fan_out``/``exchange``
-    spans — both out of band.
+    the paths apart.  ``registry`` receives ``vector.*`` counters;
+    ``timeline`` receives ``match`` and the round loop's per-round
+    ``fan_out``/``exchange`` spans — both out of band.
     """
-    group = variant.group
-    publisher = variant.publisher
-    event = variant.event
-    ctx = variant.ctx
     registry = registry_or_null(registry)
     with (
         timeline.span("match", "vector")
         if timeline is not None
         else NULL_SPAN
     ):
-        spec = _build_compat_spec(group, event, ctx)
+        spec = _build_compat_spec(variant.group, variant.event, variant.ctx)
     if spec is None:
         return None
 
-    n = len(spec.addresses)
-    index_of = spec.index_of
-    components = spec.components
-    node_matches = spec.node_matches
-    tree_depth = spec.tree_depth
-    config = group.config
-    fanout = config.fanout
-    flood_threshold = config.leaf_flood_threshold
-    randbelow = ctx.rng._randbelow
-    pub = index_of[publisher]
-
-    # PMCAST bootstrap (Figure 3 lines 24-25).
-    if spec.received[pub]:
-        raise ProtocolError(f"event {event.event_id} already published")
-    alive = spec.alive
-    received = spec.received
-    delivered = spec.delivered
-    own_match = spec.own_match
-    received[pub] = True
-    if own_match[pub]:
-        delivered[pub] = True
-    publish_depth = (
-        variant.origin._shortcut_depth(event, ctx)
-        if config.local_interest_shortcut
-        else 1
-    )
-    buf_depth = [0] * n
-    buf_round = [0] * n
-    buf_rate = [0.0] * n
-    buf_depth[pub] = publish_depth
-    buf_rate[pub] = node_matches[pub][publish_depth - 1].rate
-    sent_count = [0] * n
-    recv_count = [0] * n
-
-    emit = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
+    run = _CompatRun(variant, spec, network, crash_schedule, registry)
+    run.begin(
+        open_trace(
+            variant, trace, sampler, None, schedule, latency_us,
+            event_records,
         )
-        trace.annotate(**variant.trace_meta())
-        emit(0, "publish", publisher, event_id=event.event_id)
-        if delivered[pub]:
-            emit(0, "deliver", publisher, event_id=event.event_id)
-
-    active_list = [pub]
-    in_active = [False] * n
-    in_active[pub] = True
-    active_count = 1
-    infected = [False] * n
-    infected[pub] = True
-    infected_count = 1
-    infection_curve: List[int] = []
-    messages_by_distance = [0] * tree_depth
-    rounds = 0
-
-    metering = registry.enabled
-    if metering:
-        meter_rounds = registry.counter("vector", "rounds")
-        meter_envelopes = registry.counter("vector", "envelopes")
-        meter_losses = registry.counter("vector", "losses")
-        meter_infected = registry.gauge("vector", "infected")
-
-    addresses = spec.addresses
-    for round_index in range(sim_config.max_rounds):
-        for victim in crash_schedule.crashes_at(round_index):
-            vi = index_of.get(victim)
-            if vi is None:
-                raise SimulationError(f"{victim} is not in the group")
-            if not alive[vi]:
-                continue
-            alive[vi] = False
-            if in_active[vi]:
-                in_active[vi] = False
-                active_count -= 1
-            if emit is not None:
-                emit(round_index + 1, "crash", victim)
-        if active_count == 0:
-            break
-        rounds = round_index + 1
-
-        # GOSSIP firings, in active-set insertion order (the scalar
-        # engine's dict order), depths ascending with same-firing
-        # demotion cascades.
-        envelopes: List[Tuple[int, int, int, float, int]] = []
-        with (
-            timeline.span("fan_out", "vector", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
-            next_active: List[int] = []
-            for i in active_list:
-                if not in_active[i]:
-                    continue
-                depth = buf_depth[i]
-                entry_round = buf_round[i]
-                entry_rate = buf_rate[i]
-                matches_i = node_matches[i]
-                emitted = 0
-                while True:
-                    flat = matches_i[depth - 1]
-                    if (
-                        depth == tree_depth
-                        and flat.rate >= flood_threshold
-                    ):
-                        # §6 leaf flood: round NOT incremented, retire.
-                        for target in flat.flood_targets:
-                            if target != i:
-                                envelopes.append(
-                                    (target, depth, entry_round, entry_rate, i)
-                                )
-                                emitted += 1
-                        depth = 0
-                        break
-                    bound = flat.bound_for(entry_rate, config)
-                    if entry_round < bound:
-                        entry_round += 1
-                        selfpos = flat.pos.get(i, -1)
-                        m = flat.entry_count - (1 if selfpos >= 0 else 0)
-                        if m > 0:
-                            entries = flat.entries
-                            mask = flat.mask
-                            count = fanout if fanout < m else m
-                            for j in sample_positions(randbelow, m, count):
-                                if selfpos >= 0 and j >= selfpos:
-                                    j += 1
-                                if mask[j]:
-                                    envelopes.append(
-                                        (
-                                            entries[j], depth, entry_round,
-                                            entry_rate, i,
-                                        )
-                                    )
-                                    emitted += 1
-                        break
-                    elif depth < tree_depth:
-                        depth += 1
-                        entry_round = 0
-                        entry_rate = matches_i[depth - 1].rate
-                    else:
-                        depth = 0
-                        break
-                sent_count[i] += emitted
-                buf_depth[i] = depth
-                buf_round[i] = entry_round
-                buf_rate[i] = entry_rate
-                if depth == 0:
-                    in_active[i] = False
-                    active_count -= 1
-                else:
-                    next_active.append(i)
-            active_list = next_active
-
-            # Distance accounting: every envelope, before loss (§2.2).
-            for dest, __, ___, ____, sender in envelopes:
-                sc = components[sender]
-                dc = components[dest]
-                common = 0
-                while common < tree_depth and sc[common] == dc[common]:
-                    common += 1
-                messages_by_distance[tree_depth - 1 - common] += 1
-
-        with (
-            timeline.span("exchange", "vector", rounds)
-            if timeline is not None
-            else NULL_SPAN
-        ):
-            flags = network.transmit_flags(len(envelopes))
-            if emit is not None:
-                # The scalar engine records every envelope's disposition
-                # (send/loss) before any reception — same order here.
-                for position, envelope in enumerate(envelopes):
-                    dest, depth, __, ___, sender = envelope
-                    kind = (
-                        "send"
-                        if flags is None or flags[position]
-                        else "loss"
-                    )
-                    emit(
-                        rounds,
-                        kind,
-                        addresses[sender],
-                        peer=addresses[dest],
-                        event_id=event.event_id,
-                        depth=depth,
-                    )
-            for position, envelope in enumerate(envelopes):
-                if flags is not None and not flags[position]:
-                    continue
-                dest, depth, entry_round, entry_rate, sender = envelope
-                if not alive[dest]:
-                    continue
-                recv_count[dest] += 1
-                if emit is not None:
-                    emit(
-                        rounds,
-                        "receive",
-                        addresses[dest],
-                        peer=addresses[sender],
-                        event_id=event.event_id,
-                        depth=depth,
-                    )
-                if received[dest]:
-                    if not infected[dest]:
-                        infected[dest] = True
-                        infected_count += 1
-                    continue
-                received[dest] = True
-                if own_match[dest]:
-                    delivered[dest] = True
-                    if emit is not None:
-                        emit(
-                            rounds,
-                            "deliver",
-                            addresses[dest],
-                            event_id=event.event_id,
-                        )
-                buf_depth[dest] = depth
-                buf_round[dest] = entry_round
-                buf_rate[dest] = entry_rate
-                if not infected[dest]:
-                    infected[dest] = True
-                    infected_count += 1
-                if not in_active[dest]:
-                    in_active[dest] = True
-                    active_list.append(dest)
-                    active_count += 1
-
-        infection_curve.append(infected_count)
-        if metering:
-            meter_rounds.inc()
-            meter_envelopes.inc(len(envelopes))
-            if flags is not None:
-                meter_losses.inc(sum(1 for flag in flags if not flag))
-            meter_infected.set(infected_count)
+    )
+    if schedule is None:
+        rounds = _round_driver(run, sim_config.max_rounds, timeline)
+    else:
+        rounds = _event_driver(
+            run, sim_config.max_rounds, schedule, latency_us, event_records
+        )
 
     if timeline is not None:
         timeline.probe_memory(subsystem="vector", round_index=rounds)
     if trace is not None:
         trace.annotate(rounds=rounds)
-    if metering:
+    if registry.enabled:
         registry.counter("vector", "runs").inc()
-        registry.counter("vector", "receptions").inc(sum(recv_count))
-
-    # Write the outcome back through the object model so every scalar
-    # inspection API stays truthful after a vectorized run.
-    for i, address in enumerate(spec.addresses):
-        buffered = None
-        if buf_depth[i] > 0:
-            buffered = (buf_depth[i], buf_rate[i], buf_round[i])
-        group.node(address).restore_outcome(
-            event,
-            alive=alive[i],
-            received=received[i],
-            delivered=delivered[i],
-            sent_delta=sent_count[i],
-            receptions_delta=recv_count[i],
-            buffered=buffered,
-        )
-
-    return assemble_pmcast_report(
-        group,
-        publisher,
-        event,
-        variant.interested,
-        infected_count,
-        rounds,
-        tuple(infection_curve),
-        tuple(messages_by_distance),
-        network.messages_lost,
-        crash_schedule.victim_count,
-        sent_before=variant.sent_before,
-        receptions_before=variant.receptions_before,
-    )
+        registry.counter("vector", "receptions").inc(sum(run.recv_count))
+    return run.finish(rounds)
 
 
 # ---------------------------------------------------------------------------

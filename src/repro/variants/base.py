@@ -81,6 +81,8 @@ __all__ = [
     "VariantEnvelope",
     "VariantMessage",
     "emit_dispositions",
+    "open_trace",
+    "resolve_latency",
     "run_variant",
     "setup_run",
 ]
@@ -396,33 +398,11 @@ def run_variant(
         NetError: ``latency_us`` outside ``(0, period)``.
     """
     if schedule is not None:
-        period_us = schedule.period_us
-        if latency_us is None:
-            latency_us = period_us // 2
-        if not 0 < latency_us < period_us:
-            raise NetError(
-                f"latency_us {latency_us} must lie in (0, {period_us}): "
-                "the model requires network latency below the gossip "
-                "period"
-            )
-    emit: Optional[Emit] = None
-    if trace is not None:
-        emit = (
-            trace.record
-            if sampler is None
-            else SampledTrace(trace, sampler).record
-        )
-        trace.annotate(**variant.trace_meta())
-        if injector is not None:
-            trace.annotate(fault_plan=injector.plan.to_dict())
-        if schedule is not None and event_records:
-            trace.annotate(
-                net={
-                    "schedule": repr(schedule),
-                    "period_us": period_us,
-                    "latency_us": latency_us,
-                }
-            )
+        latency_us = resolve_latency(schedule, latency_us)
+    emit = open_trace(
+        variant, trace, sampler, injector, schedule, latency_us,
+        event_records,
+    )
     variant.begin(emit)
 
     infection_curve: List[int] = []
@@ -453,6 +433,66 @@ def run_variant(
         crash_schedule,
         injector,
     )
+
+
+def resolve_latency(schedule: Schedule, latency_us: Optional[int]) -> int:
+    """The event loop's wire latency: ``latency_us`` or half a period.
+
+    Raises:
+        NetError: the latency is outside ``(0, period)`` — the model
+            requires network latency below the gossip period.
+    """
+    period_us = schedule.period_us
+    if latency_us is None:
+        latency_us = period_us // 2
+    if not 0 < latency_us < period_us:
+        raise NetError(
+            f"latency_us {latency_us} must lie in (0, {period_us}): "
+            "the model requires network latency below the gossip "
+            "period"
+        )
+    return latency_us
+
+
+def open_trace(
+    variant: DisseminationVariant,
+    trace: Optional[TraceLog],
+    sampler: Optional[TraceSampler] = None,
+    injector: Optional[Any] = None,
+    schedule: Optional[Schedule] = None,
+    latency_us: Optional[int] = None,
+    event_records: bool = False,
+) -> Optional[Emit]:
+    """The trace preamble of one run; returns its record emitter.
+
+    Annotates the sampler's block when sampling, the variant's
+    :meth:`~DisseminationVariant.trace_meta`, the fault plan when an
+    injector runs, and the ``net`` block when an event-loop run emits
+    ``timer_fire`` records — in that key order.
+    Shared by :func:`run_variant` and the compat kernel
+    (:mod:`repro.sim.vector`), so both paths write the same metadata.
+    Returns ``None`` without a trace.
+    """
+    if trace is None:
+        return None
+    # A sampled emitter stamps its ``sampling`` block first.
+    emit = (
+        trace.record
+        if sampler is None
+        else SampledTrace(trace, sampler).record
+    )
+    trace.annotate(**variant.trace_meta())
+    if injector is not None:
+        trace.annotate(fault_plan=injector.plan.to_dict())
+    if schedule is not None and event_records:
+        trace.annotate(
+            net={
+                "schedule": repr(schedule),
+                "period_us": schedule.period_us,
+                "latency_us": latency_us,
+            }
+        )
+    return emit
 
 
 def _begin_round(

@@ -13,6 +13,7 @@ Also pinned: the equivalence holds under any ``PYTHONHASHSEED``
 a trial must not depend on which process computed it).
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,6 +44,61 @@ GOLDEN_DIGESTS = {
     (5, 3): "4aea12943fcdd8a0a4bda94481d622017d3bbf9d06aba22a4c958672dbfe09a8",
     (22, 3): "673fee6cc0b7870142f3188ae38470ec916df5921eea47720b9cef489b1a1914",
 }
+
+#: Scheduled runs of ``sim_run`` (same group, seed and ε as above),
+#: pinned from the scalar ``PmcastVariant`` event loop: the report
+#: fields and the trace digest per ``(schedule, arity, depth)``.
+SCHEDULED_GOLDEN = {
+    ("jittered", 5, 3): (
+        {
+            "group_size": 125, "interested": 43, "uninterested": 81,
+            "delivered_interested": 36, "received_uninterested": 36,
+            "received_total": 73, "crashed": 0, "rounds": 12,
+            "messages_sent": 358, "messages_lost": 19,
+            "duplicate_receptions": 267,
+            "infection_curve": (3, 5, 9, 10, 23, 38, 47, 50, 67, 73, 73, 73),
+            "messages_by_distance": (140, 186, 32),
+        },
+        "94229c4719cfb1cdc24f45929bd58abbdd8f0d4900347e16196ef5b4f66595c1",
+    ),
+    ("straggler", 5, 3): (
+        {
+            "group_size": 125, "interested": 43, "uninterested": 81,
+            "delivered_interested": 37, "received_uninterested": 36,
+            "received_total": 74, "crashed": 0, "rounds": 30,
+            "messages_sent": 347, "messages_lost": 19,
+            "duplicate_receptions": 255,
+            "infection_curve": (
+                3, 4, 7, 9, 19, 35, 41, 48, 66, 70, 71, 73, 73, 73, 73,
+                73, 73, 73, 73, 73, 74, 74, 74, 74, 74, 74, 74, 74, 74, 74,
+            ),
+            "messages_by_distance": (151, 170, 26),
+        },
+        "629e42d54ed2844beadd32f97f26fc9a2722a3926ace64b2c4b95aa609e0c61e",
+    ),
+    ("jittered", 22, 3): (
+        {
+            "group_size": 10648, "interested": 3173, "uninterested": 7474,
+            "delivered_interested": 3025, "received_uninterested": 698,
+            "received_total": 3724, "crashed": 0, "rounds": 22,
+            "messages_sent": 17043, "messages_lost": 880,
+            "duplicate_receptions": 12440,
+            "infection_curve": (
+                3, 7, 17, 36, 42, 43, 122, 309, 613, 856, 944, 964, 1443,
+                2019, 2615, 3035, 3327, 3531, 3655, 3714, 3724, 3724,
+            ),
+            "messages_by_distance": (11206, 5630, 207),
+        },
+        "9db7fa179233976882f63c1280520684ac72acdb01b450531a70a337466dd4e6",
+    ),
+}
+
+
+def scheduled(name):
+    """The pinned schedules: half-period jitter, 30% 3x stragglers."""
+    if name == "jittered":
+        return JitteredSchedule(0.5, seed=3)
+    return StragglerSchedule(0.3, 3, seed=3)
 
 
 def trace_digest(trace):
@@ -168,12 +224,33 @@ class TestGoldenEquivalence:
             assert first.received_total >= base.received_total - 3
 
 
+class TestScheduledGolden:
+    """Asynchronous executions have pins of their own, not just
+    determinism: any drift in timer order, flush batching or the
+    schedule's fire times changes the digest."""
+
+    def _check(self, name, arity, depth):
+        fields, digest = SCHEDULED_GOLDEN[(name, arity, depth)]
+        report, trace = sim_run(arity, depth, schedule=scheduled(name))
+        got = dataclasses.asdict(report)
+        assert {key: got[key] for key in fields} == fields
+        assert trace_digest(trace) == digest
+
+    @pytest.mark.parametrize("name", ["jittered", "straggler"])
+    def test_n125_pinned(self, name):
+        self._check(name, 5, 3)
+
+    @pytest.mark.slow
+    def test_n10648_jittered_pinned(self):
+        self._check("jittered", 22, 3)
+
+
 _SUBPROCESS_SNIPPET = """
 import sys
 sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
-from tests.net.test_equivalence import sim_run, trace_digest
-report, trace = sim_run(5, 3)
+from tests.net.test_equivalence import scheduled, sim_run, trace_digest
+report, trace = sim_run(5, 3{schedule})
 print(trace_digest(trace))
 """
 
@@ -184,7 +261,7 @@ class TestHashSeedStability:
         # iteration order or string hash may leak into the stream.
         root = os.getcwd()
         src = os.path.join(root, "src")
-        snippet = _SUBPROCESS_SNIPPET.format(src=src, root=root)
+        snippet = _SUBPROCESS_SNIPPET.format(src=src, root=root, schedule="")
         digests = []
         for hash_seed in ("0", "4242"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
@@ -197,6 +274,29 @@ class TestHashSeedStability:
             )
             digests.append(result.stdout.strip())
         assert digests[0] == digests[1] == GOLDEN_DIGESTS[(5, 3)]
+
+    def test_jittered_digest_survives_hash_randomization(self):
+        # Schedules key their SHA-256 draws by the address string, never
+        # by hash(): the jittered pin holds in any process too.
+        root = os.getcwd()
+        snippet = _SUBPROCESS_SNIPPET.format(
+            src=os.path.join(root, "src"),
+            root=root,
+            schedule=', schedule=scheduled("jittered")',
+        )
+        digests = []
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", snippet],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.append(result.stdout.strip())
+        expected = SCHEDULED_GOLDEN[("jittered", 5, 3)][1]
+        assert digests[0] == digests[1] == expected
 
 
 def _digest_trial(seed):

@@ -87,7 +87,7 @@ class TestJitteredSchedule:
     def test_fires_conserved_across_rounds(self):
         # Every fire lands in exactly one round: summing fires_in_round
         # over a horizon past the jitter bound counts each index once.
-        schedule = JitteredSchedule(jitter=1.5, seed=3, period_us=100)
+        schedule = JitteredSchedule(jitter=1.0, seed=3, period_us=100)
         for key in KEYS[:4]:
             total = sum(
                 schedule.fires_in_round(key, r) for r in range(1, 101)
@@ -98,6 +98,14 @@ class TestJitteredSchedule:
 
     def test_rejects_negative_jitter(self):
         for jitter in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(NetError):
+                JitteredSchedule(jitter=jitter)
+
+    def test_rejects_jitter_above_one_period(self):
+        # Beyond one period a fire can overtake its predecessor, and
+        # the event loop's re-arming would skip it.
+        JitteredSchedule(jitter=1.0)
+        for jitter in (1.0001, 1.5, 3.0):
             with pytest.raises(NetError):
                 JitteredSchedule(jitter=jitter)
 

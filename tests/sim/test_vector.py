@@ -33,6 +33,12 @@ from repro.addressing import AddressSpace
 from repro.config import PmcastConfig, SimConfig
 from repro.faults import FaultPlan
 from repro.interests.events import Event
+from repro.net import run_sim_dissemination
+from repro.net.scheduler import (
+    JitteredSchedule,
+    RoundSchedule,
+    StragglerSchedule,
+)
 from repro.sim import (
     PmcastGroup,
     RegularTreeSpec,
@@ -44,7 +50,10 @@ from repro.sim import (
     run_shard_wave,
 )
 from repro.sim.vector import sample_positions
-from tests.sim.reference import scalar_dissemination
+from tests.sim.reference import (
+    scalar_dissemination,
+    scalar_sim_dissemination,
+)
 
 
 class TestSamplePositions:
@@ -340,6 +349,178 @@ class TestTracedBitIdentity:
             tuple(sorted(r)) for r in (d.items() for d in scalar_records)
         } <= full_set
         assert 0 < len(scalar) < len(full)
+
+
+#: The schedules the event driver is held to: the engine's cadence,
+#: half- and full-period jitter, and 30% of processes at 3x period.
+SCHEDULES = [
+    ("round", lambda: RoundSchedule()),
+    ("jitter_0.5", lambda: JitteredSchedule(0.5, seed=5)),
+    ("jitter_1.0", lambda: JitteredSchedule(1.0, seed=6)),
+    ("straggler", lambda: StragglerSchedule(0.3, 3, seed=7)),
+]
+
+
+def _scheduled_outcome(
+    run, config, sim_kwargs, schedule, seed=11, sampler=None,
+    event_records=False,
+):
+    """One scheduled run on a fresh group: report, node state, trace."""
+    from repro.obs import TraceLog
+
+    event = Event({"golden": 1}, event_id=42)
+    group, addresses = _build_group(config, seed)
+    trace = TraceLog()
+    report = run(
+        group,
+        addresses[0],
+        event,
+        SimConfig(seed=seed, **sim_kwargs),
+        schedule=schedule,
+        trace=trace,
+        sampler=sampler,
+        event_records=event_records,
+    )
+    nodes = {
+        str(a): (
+            group.node(a).alive,
+            group.node(a).has_received(event),
+            group.node(a).has_delivered(event),
+            group.node(a).messages_sent,
+            group.node(a).receptions,
+            group.node(a).is_idle,
+        )
+        for a in addresses
+    }
+    return report, nodes, trace.meta, [r.to_dict() for r in trace]
+
+
+class TestScheduledBitIdentity:
+    """``run_sim_dissemination`` takes the compat kernel's event driver;
+    it must equal the scalar ``PmcastVariant`` event loop record for
+    record, under every schedule and every ``PmcastConfig`` switch."""
+
+    @pytest.mark.parametrize(
+        "schedule", [s[1] for s in SCHEDULES], ids=[s[0] for s in SCHEDULES]
+    )
+    @pytest.mark.parametrize(
+        "config,sim_kwargs", [m[1:] for m in MATRIX],
+        ids=[m[0] for m in MATRIX],
+    )
+    def test_report_state_and_trace_identical(
+        self, config, sim_kwargs, schedule
+    ):
+        scalar = _scheduled_outcome(
+            scalar_sim_dissemination, config, sim_kwargs, schedule()
+        )
+        kernel = _scheduled_outcome(
+            run_sim_dissemination, config, sim_kwargs, schedule()
+        )
+        assert kernel == scalar
+
+    def test_sampled_trace_identical(self):
+        from repro.obs.sampling import TraceSampler
+
+        config = PmcastConfig(fanout=2, redundancy=2)
+        sim_kwargs = {"loss_probability": 0.05, "crash_fraction": 0.03}
+        outcomes = [
+            _scheduled_outcome(
+                run, config, sim_kwargs, JitteredSchedule(0.5, seed=5),
+                sampler=TraceSampler(0.4),
+            )
+            for run in (scalar_sim_dissemination, run_sim_dissemination)
+        ]
+        assert outcomes[1] == outcomes[0]
+        assert "sampling" in outcomes[1][2]
+
+    def test_event_records_identical(self):
+        config = PmcastConfig(fanout=2, redundancy=2)
+        sim_kwargs = {"loss_probability": 0.1, "crash_fraction": 0.05}
+        outcomes = [
+            _scheduled_outcome(
+                run, config, sim_kwargs, StragglerSchedule(0.3, 3, seed=7),
+                event_records=True,
+            )
+            for run in (scalar_sim_dissemination, run_sim_dissemination)
+        ]
+        assert outcomes[1] == outcomes[0]
+        assert "net" in outcomes[1][2]
+        assert any(r["kind"] == "timer_fire" for r in outcomes[1][3])
+
+    def test_eligible_scheduled_run_takes_the_kernel(self):
+        from repro.obs import MetricsRegistry, Observer
+
+        registry = MetricsRegistry()
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        run_sim_dissemination(
+            group,
+            addresses[0],
+            Event({"golden": 1}, event_id=42),
+            SimConfig(seed=11, loss_probability=0.05),
+            schedule=JitteredSchedule(0.5, seed=5),
+            observer=Observer(registry=registry),
+        )
+        assert registry.counter("sim", "vector_fallback").value == 0
+        assert registry.counter("vector", "runs").value == 1
+
+    def test_faulted_scheduled_run_falls_back_counted(self):
+        from repro.obs import MetricsRegistry, Observer
+
+        registry = MetricsRegistry()
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        run_sim_dissemination(
+            group,
+            addresses[0],
+            Event({"golden": 1}, event_id=42),
+            SimConfig(seed=11),
+            schedule=JitteredSchedule(0.5, seed=5),
+            faults=FaultPlan(name="burst").with_loss_burst(2, 4, 0.5),
+            observer=Observer(registry=registry),
+        )
+        assert registry.counter("sim", "vector_fallback").value == 1
+        assert registry.counter("sim", "vector_fallback_faults").value == 1
+        assert registry.counter("vector", "runs").value == 0
+
+
+class TestScheduledErrorOrder:
+    """Both errors surface before any kernel work: the crashed
+    publisher first, then a latency outside the period."""
+
+    def _run(self, crash_publisher, latency_us):
+        from repro.obs import MetricsRegistry, Observer
+
+        registry = MetricsRegistry()
+        event = Event({"golden": 1}, event_id=42)
+        group, addresses = _build_group(PmcastConfig(fanout=2, redundancy=2))
+        group.node(addresses[0]).alive = not crash_publisher
+        try:
+            run_sim_dissemination(
+                group,
+                addresses[0],
+                event,
+                SimConfig(seed=11),
+                schedule=JitteredSchedule(0.5, seed=5, period_us=1000),
+                latency_us=latency_us,
+                observer=Observer(registry=registry),
+            )
+        finally:
+            assert registry.counter("vector", "runs").value == 0
+            assert not any(
+                group.node(a).has_received(event) for a in addresses
+            )
+
+    def test_crashed_publisher_before_bad_latency(self):
+        from repro.errors import SimulationError
+
+        with pytest.raises(SimulationError):
+            self._run(crash_publisher=True, latency_us=1000)
+
+    @pytest.mark.parametrize("latency_us", [0, 1000, 5000])
+    def test_bad_latency_rejected(self, latency_us):
+        from repro.errors import NetError
+
+        with pytest.raises(NetError):
+            self._run(crash_publisher=False, latency_us=latency_us)
 
 
 class TestRegularTreeSpec:
